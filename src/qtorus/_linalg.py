@@ -82,33 +82,3 @@ def solve(rows, rhs):
         if pc < ncols:
             x[pc] = red[i][ncols]
     return x
-
-
-def det(rows):
-    """Exact determinant by elimination with division (square matrix)."""
-    mat = [list(r) for r in rows]
-    n = len(mat)
-    if n == 0:
-        raise ValueError("empty matrix")
-    result = None
-    sign_flips = 0
-    for c in range(n):
-        pr = None
-        for i in range(c, n):
-            if mat[i][c]:
-                pr = i
-                break
-        if pr is None:
-            return mat[0][0] - mat[0][0]
-        if pr != c:
-            mat[c], mat[pr] = mat[pr], mat[c]
-            sign_flips += 1
-        piv = mat[c][c]
-        result = piv if result is None else result * piv
-        for i in range(c + 1, n):
-            if mat[i][c]:
-                f = mat[i][c] / piv
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[c])]
-    if sign_flips % 2:
-        result = -result
-    return result

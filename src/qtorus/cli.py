@@ -5,6 +5,9 @@ emit a report: human-readable on stdout and, with --json PATH, a
 machine-readable JSON file.  The JSON report never contains timing, so
 identical (document, seed) pairs produce byte-identical files.
 
+Each ``cmd_*`` builds and returns a Report; ``main`` is the one runner
+that times the command, emits its report and maps errors to exit codes.
+
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 the
 input could not be parsed (the message carries a JSON path).
 """
@@ -29,8 +32,10 @@ from .numfield import NumberField
 from .problems import (
     element_json,
     lattice_json,
+    load_json,
     load_problem,
     parse_character,
+    parse_int_matrix,
     parse_rational,
     tl_element_json,
 )
@@ -48,40 +53,34 @@ from .zlattice import alternating_normal_form, smith_normal_form
 
 def _emit(report, args, elapsed):
     print(report.render_text(elapsed))
-    if getattr(args, "json", None):
+    if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(report.to_dict(), fh, indent=2)
             fh.write("\n")
     return 0 if report.ok else 1
 
 
-def _load(args):
-    return load_problem(args.problem)
-
-
 def cmd_validate(args):
-    start = time.time()
     rep = Report("validate", inputs={"problem": args.problem})
     try:
-        spec = _load(args)
+        spec = load_problem(args.problem)
     except CompatibilityFailure as err:
         rep.add("construction", False, {"error": str(err), "witness": err.witness})
-        return _emit(rep, args, time.time() - start)
+        return rep
     rep.add("construction", True)
     sub = validate_action(
         spec.action,
-        degree_bound=int(spec.options.get("degree_bound", args.degree_bound)),
-        samples=int(spec.options.get("samples", args.samples)),
+        degree_bound=spec.options.get("degree_bound", args.degree_bound),
+        samples=spec.options.get("samples", args.samples),
         seed=args.seed,
     )
     rep.extend(sub)
-    return _emit(rep, args, time.time() - start)
+    return rep
 
 
 def cmd_invariants(args):
-    start = time.time()
-    spec = _load(args)
-    bound = int(spec.options.get("degree_bound", args.degree_bound))
+    spec = load_problem(args.problem)
+    bound = spec.options.get("degree_bound", args.degree_bound)
     rep = Report("invariants", inputs={"problem": args.problem, "degree_bound": bound})
     bases, failures = completeness_sweep(spec.action, bound=bound)
     orbits = []
@@ -101,17 +100,15 @@ def cmd_invariants(args):
         )
     rep.add("completeness", not failures, {"failures": [list(m) for m in failures[:5]]} if failures else None)
     rep.inputs["orbits"] = orbits
-    return _emit(rep, args, time.time() - start)
+    return rep
 
 
-def _center_command(args, l_center):
-    start = time.time()
-    spec = _load(args)
-    name = "lcenter" if l_center else "center"
-    rep = Report(name, inputs={"problem": args.problem})
-    lat = l_center_lattice(spec.qmatrix) if l_center else central_lattice(spec.qmatrix)
+def cmd_center(args):
+    spec = load_problem(args.problem)
+    rep = Report(args.command, inputs={"problem": args.problem})
+    lat = l_center_lattice(spec.qmatrix) if args.l_center else central_lattice(spec.qmatrix)
     rep.inputs["lattice"] = lattice_json(lat)
-    gens = center_generators(spec.action, l_center=l_center)
+    gens = center_generators(spec.action, l_center=args.l_center)
     payload = []
     all_central = True
     for ib in gens:
@@ -128,24 +125,14 @@ def _center_command(args, l_center):
     rep.inputs["generators"] = payload
     rep.add("lattice-computed", True)
     rep.add("generators-central", all_central)
-    return _emit(rep, args, time.time() - start)
-
-
-def cmd_center(args):
-    return _center_command(args, l_center=False)
-
-
-def cmd_lcenter(args):
-    return _center_command(args, l_center=True)
+    return rep
 
 
 def cmd_normal_form(args):
-    start = time.time()
-    with open(args.matrixfile, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = load_json(args.matrixfile)
     if not isinstance(doc, dict) or "matrix" not in doc:
         raise ProblemFormatError("expected an object with a 'matrix' key", "$")
-    A = [[int(x) for x in row] for row in doc["matrix"]]
+    A = parse_int_matrix(doc["matrix"], "$.matrix")
     rep = Report("normal-form", inputs={"matrix": A})
     D, U, V = smith_normal_form(A)
     rep.inputs["smith"] = {
@@ -155,9 +142,7 @@ def cmd_normal_form(args):
     }
     rep.add("smith-form-verified", True)
     n = len(A)
-    antisym = all(len(row) == n for row in A) and all(
-        A[i][j] == -A[j][i] for i in range(n) for j in range(n)
-    )
+    antisym = len(A[0]) == n and all(A[i][j] == -A[j][i] for i in range(n) for j in range(n))
     if antisym:
         Ua, ks, zeros = alternating_normal_form(A)
         rep.inputs["alternating"] = {
@@ -166,14 +151,12 @@ def cmd_normal_form(args):
             "zeros": zeros,
         }
         rep.add("alternating-form-verified", True)
-    return _emit(rep, args, time.time() - start)
+    return rep
 
 
 def _character_from_args(spec, args):
-    if getattr(args, "chi", None):
-        with open(args.chi, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        return parse_character(spec.qmatrix, doc, "$")
+    if args.chi:
+        return parse_character(spec.qmatrix, load_json(args.chi), "$")
     if spec.character is None:
         raise ProblemFormatError(
             "no character: add one to the problem or pass --chi FILE", "$.character"
@@ -182,8 +165,7 @@ def _character_from_args(spec, args):
 
 
 def cmd_specialize(args):
-    start = time.time()
-    spec = _load(args)
+    spec = load_problem(args.problem)
     char, which = _character_from_args(spec, args)
     rep = Report("specialize", inputs={"problem": args.problem, "which": which})
     algebra = specialize(spec.action, char, which=which)
@@ -202,12 +184,11 @@ def cmd_specialize(args):
         rep.add("rational-form-dimension-matches", rational.dim == algebra.dim)
         rep.inputs["rational_center_dim"] = rational.center_dim()
         rep.inputs["rational_radical_dim"] = rational.radical_dim()
-    return _emit(rep, args, time.time() - start)
+    return rep
 
 
 def cmd_decompose(args):
-    start = time.time()
-    spec = _load(args)
+    spec = load_problem(args.problem)
     char, which = _character_from_args(spec, args)
     if which != "l_center":
         raise ProblemFormatError("decomposition needs an l_center character", "$.character")
@@ -230,28 +211,22 @@ def cmd_decompose(args):
     rep.inputs["commuting"] = [
         element_json(c) if c is not None else None for c in data["commuting"]
     ]
-    return _emit(rep, args, time.time() - start)
+    return rep
 
 
 def cmd_catalog(args):
-    start = time.time()
     q = [parse_rational(part.strip(), "$.q") for part in args.q.split(",")]
-    rep = catalog_case(args.case, args.D, q)
-    return _emit(rep, args, time.time() - start)
+    return catalog_case(args.case, args.D, q)
 
 
 def cmd_witness(args):
-    start = time.time()
     field = NumberField.quadratic(args.D) if args.D else NumberField.cyclotomic(args.l)
     q = [parse_rational(part.strip(), "$.q") for part in args.q.split(",")]
-    rep = crossed_product_witness(args.case, field, q)
-    return _emit(rep, args, time.time() - start)
+    return crossed_product_witness(args.case, field, q)
 
 
 def cmd_selftest(args):
-    start = time.time()
-    rep = run_selftest(seed=args.seed)
-    return _emit(rep, args, time.time() - start)
+    return run_selftest(seed=args.seed)
 
 
 def build_parser():
@@ -280,16 +255,15 @@ def build_parser():
 
     p = sub.add_parser("center", help="central lattice and invariant center generators")
     common(p)
-    p.set_defaults(func=cmd_center)
+    p.set_defaults(func=cmd_center, l_center=False)
 
     p = sub.add_parser("lcenter", help="same as center, on the l-th power sublattice")
     common(p)
-    p.set_defaults(func=cmd_lcenter)
+    p.set_defaults(func=cmd_center, l_center=True)
 
     p = sub.add_parser("normal-form", help="Smith and alternating normal forms of a matrix")
     p.add_argument("matrixfile", help="JSON file with a 'matrix' key")
-    p.add_argument("--json", metavar="PATH")
-    p.add_argument("--seed", type=int, default=0)
+    common(p, problem=False)
     p.set_defaults(func=cmd_normal_form)
 
     p = sub.add_parser("specialize", help="finite-dimensional fiber at a central character")
@@ -307,9 +281,7 @@ def build_parser():
     p.add_argument("--case", type=int, required=True, choices=(1, 2, 3, 4))
     p.add_argument("--D", type=int, required=True)
     p.add_argument("--q", required=True, help="comma-separated rational coefficients of q")
-    p.add_argument("--verify", action="store_true", help="accepted for compatibility; always on")
-    p.add_argument("--json", metavar="PATH")
-    p.add_argument("--seed", type=int, default=0)
+    common(p, problem=False)
     p.set_defaults(func=cmd_catalog)
 
     p = sub.add_parser("witness", help="order-2 crossed-product witness checks")
@@ -317,27 +289,24 @@ def build_parser():
     p.add_argument("--D", type=int, help="quadratic field discriminant")
     p.add_argument("--l", type=int, help="cyclotomic field index (used when --D absent)")
     p.add_argument("--q", required=True)
-    p.add_argument("--json", metavar="PATH")
-    p.add_argument("--seed", type=int, default=0)
+    common(p, problem=False)
     p.set_defaults(func=cmd_witness)
 
     p = sub.add_parser("selftest", help="run the complete acceptance suite")
-    p.add_argument("--json", metavar="PATH")
-    p.add_argument("--seed", type=int, default=0)
+    common(p, problem=False)
     p.set_defaults(func=cmd_selftest)
 
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand: time it, emit its report, map errors to exit codes."""
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except ProblemFormatError as err:
-        print(f"parse error: {err}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as err:
+        start = time.time()
+        report = args.func(args)
+        return _emit(report, args, time.time() - start)
+    except (ProblemFormatError, FileNotFoundError) as err:
         print(f"parse error: {err}", file=sys.stderr)
         return 2
     except PreconditionFailure as err:

@@ -17,18 +17,14 @@ gives b != 0, so the deterministic search terminates in characteristic 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 from math import gcd
 
 from . import _linalg
 from .errors import OrderUndeclared, SearchExhausted
-from .numfield import unit_order
+from .numfield import _ONE, _ZERO, unit_order
 from .torus import TwistedLaurentElement, term_key
 from .zlattice import Lattice, kernel_mod
-
-_F0 = Fraction(0)
-_F1 = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -85,18 +81,15 @@ def _fixed_point_basis(action, labels, image_of):
             p2 = pos[lab2]
             for j in range(d):
                 img = sig(powers[j]) * unit
-                col = [_F0] * dim
+                col = [_ZERO] * dim
                 for j2 in range(d):
                     col[p2 * d + j2] = img.coeffs[j2]
                 cols.append(col)
         for r in range(dim):
             row = [cols[c][r] for c in range(dim)]
-            row[r] -= _F1
+            row[r] -= _ONE
             stacked.append(row)
-    if not stacked:
-        basis_vecs = [[_F1 if i == j else _F0 for j in range(dim)] for i in range(dim)]
-    else:
-        basis_vecs = _linalg.nullspace(stacked, dim, _F0, _F1)
+    basis_vecs = _linalg.nullspace(stacked, dim, _ZERO, _ONE)
     reduced, _ = _linalg.rref(basis_vecs)
     out = []
     for vec in reduced:
@@ -287,11 +280,8 @@ def central_lattice(Q):
     """
     l, _, S = root_of_unity_data(Q)
     lat = kernel_mod([list(r) for r in S], l)
-    one = Q.field.one()
     for row in lat.basis:
-        for j in range(Q.n):
-            unit = tuple(1 if t == j else 0 for t in range(Q.n))
-            assert Q.bihom(row, unit) == one, "kernel vector fails the pairing check"
+        assert Q.is_central_exponent(row), "kernel vector fails the pairing check"
     return lat
 
 
@@ -368,10 +358,7 @@ def commutant_monomial_basis(qmatrix, bound):
             for m, c in targets[t]:
                 row[pos[m]] = c
             rows.append(row)
-    if rows:
-        vecs = _linalg.nullspace(rows, len(labels), zero, one)
-    else:
-        vecs = [[one if i == j else zero for j in range(len(labels))] for i in range(len(labels))]
+    vecs = _linalg.nullspace(rows, len(labels), zero, one)
     out = []
     for vec in vecs:
         terms = {labels[i]: c for i, c in enumerate(vec) if c}
@@ -385,14 +372,8 @@ def central_elements_up_to(qmatrix, bound):
     found by the defining commutation identity (independent of any
     lattice computation, so usable as an oracle against it).
     """
-    out = []
-    for m in product(range(-bound, bound + 1), repeat=qmatrix.n):
-        good = True
-        for j in range(qmatrix.n):
-            unit = tuple(1 if t == j else 0 for t in range(qmatrix.n))
-            if qmatrix.bihom(m, unit) != qmatrix.field.one():
-                good = False
-                break
-        if good:
-            out.append(m)
-    return out
+    return [
+        m
+        for m in product(range(-bound, bound + 1), repeat=qmatrix.n)
+        if qmatrix.is_central_exponent(m)
+    ]

@@ -99,14 +99,13 @@ class SemilinearAction:
 
     __slots__ = ("galois", "module", "cocycle", "qmatrix")
 
-    def __init__(self, galois, module, cocycle, qmatrix, _validate=True):
+    def __init__(self, galois, module, cocycle, qmatrix):
         self.galois = galois
         self.module = module
         self.cocycle = cocycle
         self.qmatrix = qmatrix
-        if _validate:
-            self._check_compatibility()
-            self._check_composition()
+        self._check_compatibility()
+        self._check_composition()
 
     # -- core maps -------------------------------------------------------
 
@@ -160,15 +159,13 @@ class SemilinearAction:
             out[exp] = val if s is None else s + val
         return TwistedLaurentElement(self.qmatrix, out)
 
-    def apply_aut(self, automorphism, element):
-        return self.apply(self.galois.index_of(automorphism), element)
-
     def is_fixed(self, element):
         return all(self.apply(idx, element) == element for idx in range(len(self.galois)))
 
     # -- construction-time certificates -----------------------------------
 
-    def _check_compatibility(self):
+    def compatibility_witness(self):
+        """The first (sigma index, i, j) with Q(sigma e_i, sigma e_j) != sigma(q[i][j]), or None."""
         q = self.qmatrix
         n = self.n
         for idx in range(len(self.galois)):
@@ -178,10 +175,15 @@ class SemilinearAction:
                 for j in range(n):
                     vj = self.module.column(idx, j)
                     if q.bihom(vi, vj) != sig(q.entries[i][j]):
-                        raise CompatibilityFailure(
-                            "Q(sigma e_i, sigma e_j) != sigma(q[i][j])",
-                            witness=(idx, i, j),
-                        )
+                        return idx, i, j
+        return None
+
+    def _check_compatibility(self):
+        witness = self.compatibility_witness()
+        if witness is not None:
+            raise CompatibilityFailure(
+                "Q(sigma e_i, sigma e_j) != sigma(q[i][j])", witness=witness
+            )
 
     def _check_composition(self):
         for i in range(len(self.galois)):
@@ -300,7 +302,7 @@ def build_action(qmatrix, galois, spec):
 # validation report
 
 
-def _rand_exp(rng, n, span):
+def _rand_exp(rng, n, span=5):
     return tuple(rng.randint(-span, span) for _ in range(n))
 
 
@@ -326,16 +328,12 @@ def validate_action(action, degree_bound=3, samples=50, seed=0):
     n = action.n
     group = action.galois
 
-    witness = None
-    for idx in range(len(group)):
-        sig = action.sigma(idx)
-        for i in range(n):
-            for j in range(n):
-                vi, vj = action.module.column(idx, i), action.module.column(idx, j)
-                if q.bihom(vi, vj) != sig(q.entries[i][j]):
-                    witness = {"sigma": idx, "i": i, "j": j}
-                    break
-    rep.add("pairing-compatibility-on-basis", witness is None, witness)
+    found = action.compatibility_witness()
+    rep.add(
+        "pairing-compatibility-on-basis",
+        found is None,
+        None if found is None else {"sigma": found[0], "i": found[1], "j": found[2]},
+    )
 
     witness = None
     for _ in range(samples):

@@ -494,7 +494,7 @@ class GaloisGroup:
     the extension is certified Galois.
     """
 
-    __slots__ = ("field", "elements", "_index", "compose_table", "inverse_table")
+    __slots__ = ("field", "elements", "compose_table", "inverse_table")
 
     def __init__(self, field, automorphisms):
         elements = list(automorphisms)
@@ -524,7 +524,6 @@ class GaloisGroup:
             table.append(tuple(row))
         self.field = field
         self.elements = tuple(elements)
-        self._index = index
         self.compose_table = tuple(table)
         inv = [None] * len(elements)
         for i, row in enumerate(table):
@@ -551,9 +550,6 @@ class GaloisGroup:
 
     def inverse_idx(self, i):
         return self.inverse_table[i]
-
-    def index_of(self, aut):
-        return self._index[aut.t_image.coeffs]
 
 
 # ---------------------------------------------------------------------------
@@ -601,14 +597,14 @@ def find_normal_basis(field, seed=0, attempts=500):
     """An element whose Galois conjugates form a Q-basis of the field.
 
     Deterministic small-coefficient candidates are tried first, then a
-    seeded random tail; the certificate is a nonzero d x d determinant.
+    seeded random tail; the certificate is that the d conjugates have rank d.
     """
     group = field.galois
     d = field.degree
 
     def certifies(a):
         rows = [list(sigma(a).coeffs) for sigma in group]
-        return bool(_linalg.det(rows))
+        return _linalg.rank(rows) == d
 
     small = [0, 1, -1, 2, -2]
     tried = 0

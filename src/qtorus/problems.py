@@ -21,6 +21,16 @@ from .specialization import CentralCharacter
 from .torus import QMatrix, term_key
 
 _RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
+_INT_RE = re.compile(r"^-?\d+$")
+
+
+def parse_int(value, path):
+    """A JSON integer (not a bool) or a decimal-integer string; floats never truncate."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str) and _INT_RE.match(value):
+        return int(value)
+    raise ProblemFormatError(f"expected an integer, got {value!r}", path)
 
 
 def parse_rational(value, path):
@@ -50,9 +60,9 @@ def parse_field(doc, path="$.field"):
     kind = doc["kind"]
     try:
         if kind == "quadratic":
-            return NumberField.quadratic(int(doc["D"]))
+            return NumberField.quadratic(parse_int(doc["D"], f"{path}.D"))
         if kind == "cyclotomic":
-            return NumberField.cyclotomic(int(doc["l"]))
+            return NumberField.cyclotomic(parse_int(doc["l"], f"{path}.l"))
         if kind == "rational":
             return NumberField.rationals()
         if kind == "custom":
@@ -83,7 +93,9 @@ def parse_int_matrix(doc, path):
     for i, row in enumerate(doc):
         if not isinstance(row, list):
             raise ProblemFormatError("expected a matrix row", f"{path}[{i}]")
-        out.append([int(x) for x in row])
+        if len(row) != len(doc[0]):
+            raise ProblemFormatError("matrix rows differ in length", f"{path}[{i}]")
+        out.append([parse_int(x, f"{path}[{i}][{j}]") for j, x in enumerate(row)])
     return out
 
 
@@ -100,7 +112,7 @@ def parse_qmatrix(fld, doc, path="$.q"):
     try:
         if "root_of_unity" in doc:
             sub = doc["root_of_unity"]
-            l = int(sub["l"])
+            l = parse_int(sub["l"], f"{path}.root_of_unity.l")
             S = parse_int_matrix(sub["s_matrix"], f"{path}.root_of_unity.s_matrix")
             if "epsilon" in sub:
                 eps = parse_element(fld, sub["epsilon"], f"{path}.root_of_unity.epsilon")
@@ -205,7 +217,7 @@ def parse_problem(doc):
         raise ProblemFormatError("problem document must be an object")
     fld = parse_field(doc.get("field"), "$.field")
     qmatrix = parse_qmatrix(fld, doc.get("q"), "$.q")
-    if "n" in doc and int(doc["n"]) != qmatrix.n:
+    if "n" in doc and parse_int(doc["n"], "$.n") != qmatrix.n:
         raise ProblemFormatError(f"n does not match the matrix size {qmatrix.n}", "$.n")
     action = parse_action(qmatrix, fld.galois, doc.get("action"), "$.action")
     character = None
@@ -215,28 +227,32 @@ def parse_problem(doc):
     options = doc.get("options", {})
     if not isinstance(options, dict):
         raise ProblemFormatError("options must be an object", "$.options")
+    options = dict(options)
+    for key in ("degree_bound", "samples"):
+        if key in options:
+            options[key] = parse_int(options[key], f"$.options.{key}")
     return ProblemSpec(fld, qmatrix, action, character, which, options, doc)
 
 
-def load_problem(pathname):
+def load_json(pathname):
+    """The JSON document in a file; undecodable text is a parse error at ``$``."""
     try:
         with open(pathname, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as err:
+            return json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as err:
         raise ProblemFormatError(f"invalid JSON: {err}", "$") from err
-    return parse_problem(doc)
+
+
+def load_problem(pathname):
+    return parse_problem(load_json(pathname))
 
 
 # ---------------------------------------------------------------------------
 # serialization
 
 
-def rational_str(value):
-    return str(value)
-
-
 def element_json(x):
-    return [rational_str(c) for c in x.coeffs]
+    return [str(c) for c in x.coeffs]
 
 
 def tl_element_json(elt):

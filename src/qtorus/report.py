@@ -32,9 +32,8 @@ class Report:
     def note(self, text):
         self.notes.append(text)
 
-    def extend(self, other, prefix=""):
-        for c in other.checks:
-            self.checks.append(Check(prefix + c.name, c.status, c.witness))
+    def extend(self, other):
+        self.checks.extend(other.checks)
         self.notes.extend(other.notes)
 
     @property

@@ -31,13 +31,10 @@ from .descent import (
 )
 from .errors import InconsistentCharacter, PreconditionFailure
 from .galois_action import build_order2_action, build_trivial_action
-from .numfield import NumberField, norm, unit_order
+from .numfield import _ONE, _ZERO, NumberField, norm, unit_order
 from .report import Report
 from .torus import QMatrix, TwistedLaurentElement
 from .zlattice import alternating_normal_form
-
-_F0 = Fraction(0)
-_F1 = Fraction(1)
 
 
 class CentralCharacter:
@@ -56,12 +53,8 @@ class CentralCharacter:
         vals = tuple(qmatrix.field.element(v) for v in values)
         if any(not v for v in vals):
             raise ValueError("character values must be nonzero")
-        one = qmatrix.field.one()
-        for row in lattice.basis:
-            for j in range(qmatrix.n):
-                ej = tuple(1 if t == j else 0 for t in range(qmatrix.n))
-                if qmatrix.bihom(row, ej) != one:
-                    raise ValueError("lattice is not central for this matrix")
+        if not all(qmatrix.is_central_exponent(row) for row in lattice.basis):
+            raise ValueError("lattice is not central for this matrix")
         self.qmatrix = qmatrix
         self.lattice = lattice
         self.values = vals
@@ -105,6 +98,15 @@ class CentralCharacter:
         self._cache[lam] = out
         return out
 
+    def reduce_monomial(self, exp):
+        """(r, u) with x^exp == u * x^r in the quotient, r the digit representative.
+
+        Writing exp = r + lam with lam in the lattice, x^r x^lam = c(r, lam) x^exp
+        and x^lam specializes to chi(lam), so u = c(r, lam)^-1 * chi(lam).
+        """
+        r, lam = self.lattice.reduce(exp)
+        return r, self.qmatrix.cocycle(r, lam).inverse() * self.value(lam)
+
     def is_equivariant(self, action):
         """Whether the value map commutes with the semilinear action."""
         for idx in range(len(action.galois)):
@@ -129,7 +131,7 @@ class FiniteDimAlgebra:
 
     __slots__ = ("field", "labels", "table", "unit", "is_monomial")
 
-    def __init__(self, field, labels, table, unit, check="auto", seed=0):
+    def __init__(self, field, labels, table, unit):
         self.field = field
         self.labels = tuple(labels)
         n = len(self.labels)
@@ -148,14 +150,9 @@ class FiniteDimAlgebra:
             ej = {j: field.one()}
             if self.mul(self.unit, ej) != ej or self.mul(ej, self.unit) != ej:
                 raise ValueError("unit vector does not act as identity")
-        if check == "auto":
-            check = "full" if (self.is_monomial and n <= 100) or n <= 12 else 200
-        if check == "full":
-            ok, witness = self.check_associativity()
-            assert ok, f"non-associative table: {witness}"
-        elif isinstance(check, int):
-            ok, witness = self.check_associativity(sample=check, seed=seed)
-            assert ok, f"non-associative table: {witness}"
+        exhaustive = (self.is_monomial and n <= 100) or n <= 12
+        ok, witness = self.check_associativity(sample=None if exhaustive else 200)
+        assert ok, f"non-associative table: {witness}"
 
     @property
     def dim(self):
@@ -233,8 +230,6 @@ class FiniteDimAlgebra:
                     row.append(a - b)
                 if any(row):
                     rows.append(row)
-        if not rows:
-            return n
         return len(_linalg.nullspace(rows, n, zero, one))
 
     def radical_dim(self):
@@ -302,23 +297,18 @@ def _quotient_algebra(Q, character):
     table = {}
     for i, g in enumerate(labels):
         for j, h in enumerate(labels):
-            s = tuple(a + b for a, b in zip(g, h))
-            r, lam = lat.reduce(s)
-            coeff = Q.cocycle(g, h) * Q.cocycle(r, lam).inverse() * character.value(lam)
-            table[(i, j)] = {index[r]: coeff}
+            r, u = character.reduce_monomial(tuple(a + b for a, b in zip(g, h)))
+            table[(i, j)] = {index[r]: Q.cocycle(g, h) * u}
     unit = {index[(0,) * Q.n]: Q.field.one()}
     return FiniteDimAlgebra(Q.field, labels, table, unit)
 
 
 def embed_monomial(algebra, character, exponent, coeff=None):
     """Image of coeff * x^exponent in the quotient, as a sparse vector."""
-    Q = character.qmatrix
-    lat = character.lattice
-    r, lam = lat.reduce(tuple(int(x) for x in exponent))
-    c = Q.field.one() if coeff is None else Q.field.element(coeff)
-    c = c * Q.cocycle(r, lam).inverse() * character.value(lam)
-    idx = algebra.labels.index(r)
-    return {idx: c}
+    field = character.qmatrix.field
+    r, unit = character.reduce_monomial(tuple(int(x) for x in exponent))
+    c = field.one() if coeff is None else field.element(coeff)
+    return {algebra.labels.index(r): c * unit}
 
 
 def rational_form(action, character, algebra=None):
@@ -339,15 +329,13 @@ def rational_form(action, character, algebra=None):
     ok, witness = character.is_equivariant(action)
     if not ok:
         raise InconsistentCharacter(f"character is not equivariant: {witness}")
-    lat = character.lattice
     labels = algebra.labels
     index = {lab: i for i, lab in enumerate(labels)}
 
     def image_of(idx, g):
         exp, coeff = action.monomial_image(idx, g)
-        r, lam = lat.reduce(exp)
-        unit = coeff * Q.cocycle(r, lam).inverse() * character.value(lam)
-        return unit, r
+        r, unit = character.reduce_monomial(exp)
+        return coeff * unit, r
 
     vecs = _fixed_point_basis(action, labels, image_of)
     N = len(labels)
@@ -358,7 +346,7 @@ def rational_form(action, character, algebra=None):
     assert _linalg.rank(rows) == N, "rational basis is not an L-basis of the quotient"
 
     def flat(vec):
-        out = [_F0] * (N * d)
+        out = [_ZERO] * (N * d)
         for lab, c in vec.items():
             p = index[lab]
             for j in range(d):
@@ -366,20 +354,20 @@ def rational_form(action, character, algebra=None):
         return out
 
     B = [flat(v) for v in vecs]
-    aug = [row + [_F1 if r == i else _F0 for i in range(N)] for r, row in enumerate(B)]
+    aug = [row + [_ONE if r == i else _ZERO for i in range(N)] for r, row in enumerate(B)]
     red, pivots = _linalg.rref(aug)
     piv_cols = pivots[:N]
     E = [row[N * d :] for row in red]
 
     def coords_of(wflat):
         a = [wflat[p] for p in piv_cols]
-        c = [_F0] * N
+        c = [_ZERO] * N
         for i, ai in enumerate(a):
             if ai:
                 for b in range(N):
                     c[b] += ai * E[i][b]
         # exact reconstruction check
-        recon = [_F0] * (N * d)
+        recon = [_ZERO] * (N * d)
         for b, cb in enumerate(c):
             if cb:
                 for p, val in enumerate(B[b]):

@@ -107,6 +107,14 @@ class QMatrix:
                 out = out * self.qpow(i, j, mi * k[j])
         return out
 
+    def is_central_exponent(self, m):
+        """Whether x^m is central, that is Q(m, e_j) == 1 for every generator x_j."""
+        one = self.field.one()
+        n = self.n
+        return all(
+            self.bihom(m, tuple(1 if t == j else 0 for t in range(n))) == one for j in range(n)
+        )
+
     def cocycle(self, m, k):
         """c(m, k): the normal-ordering constant with x^m x^k = c(m,k) x^(m+k)."""
         out = self.field.one()
@@ -128,14 +136,6 @@ class QMatrix:
 
     def __repr__(self):
         return f"QMatrix(n={self.n} over {self.field!r})"
-
-
-def bihom(Q, m, k):
-    return Q.bihom(m, k)
-
-
-def normal_order_cocycle(Q, m, k):
-    return Q.cocycle(m, k)
 
 
 class TwistedLaurentElement:
@@ -323,8 +323,3 @@ def term_key(m):
     a deterministic term order is needed.
     """
     return (sum(abs(e) for e in m), m)
-
-
-def monomial_inverse(q, m, coeff):
-    """Inverse of the monomial coeff * x^m (standalone convenience)."""
-    return TwistedLaurentElement.monomial(q, m, coeff).inverse()

@@ -41,10 +41,6 @@ def transpose(A):
     return [list(col) for col in zip(*A)]
 
 
-def mat_vec(A, v):
-    return [sum(a * x for a, x in zip(row, v)) for row in A]
-
-
 def det_bareiss(A):
     """Fraction-free exact determinant of a square integer matrix."""
     n = len(A)

@@ -1,36 +1,95 @@
+import hashlib
 import json
 import os
+from pathlib import Path
+
+import pytest
 
 from qtorus.cli import main
+from workloads import corpus_ops, load_goldens, op_id
 
-CASES = os.path.join(os.path.dirname(__file__), "..", "cases")
+ROOT = Path(__file__).resolve().parent.parent
+CASES = os.path.join(ROOT, "cases")
+GOLDENS = load_goldens()
 
 
 def case(name):
     return os.path.join(CASES, name)
 
 
-def test_validate_shipped_cases(capsys):
-    for name in (
-        "l3_standard.json",
-        "case1_rational.json",
-        "case2_sqrt5.json",
-        "case3_sqrt5.json",
-        "case4_zeta3.json",
-        "case4_qminus1.json",
-        "n3_decompose.json",
-    ):
-        assert main(["validate", case(name), "--degree-bound", "2", "--samples", "10"]) == 0
-        out = capsys.readouterr().out
-        assert "result: PASS" in out
+@pytest.mark.parametrize("argv", corpus_ops(), ids=op_id)
+def test_shipped_case_report_matches_golden(argv, tmp_path, monkeypatch, capsys):
+    # run from the repository root: reports echo the case paths they were given
+    monkeypatch.chdir(ROOT)
+    out_path = tmp_path / "report.json"
+    golden = GOLDENS["corpus"][op_id(argv)]
+    assert main(argv + ["--json", str(out_path), "--seed", "0"]) == golden["exit"]
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == golden["sha256"]
+
+
+def _l3(key=None, value=None):
+    """The standard l = 3 problem with an explicit action, one dotted key replaced."""
+    doc = {
+        "field": {"kind": "cyclotomic", "l": 3},
+        "n": 2,
+        "q": {"root_of_unity": {"l": 3, "s_matrix": [[0, 1], [-1, 0]]}},
+        "action": {
+            "kind": "explicit",
+            "matrices": [[[1, 0], [0, 1]], [[0, 1], [1, 0]]],
+            "cocycle": [[["1"], ["1"]], [["1"], ["1"]]],
+        },
+    }
+    if key is not None:
+        *parents, last = key.split(".")
+        target = doc
+        for part in parents:
+            target = target[part]
+        target[last] = value
+    return doc
+
+
+# (argv before the file, document or raw text or bytes, JSON path the
+# error must name); every entry exits 2, none may crash or silently
+# truncate a float
+MALFORMED = [
+    (["validate"], {"field": {"kind": "quadratic", "D": 4}}, "$.field"),
+    (["validate"], _l3("n", "two"), "$.n"),
+    (["validate"], _l3("field.l", 3.7), "$.field.l"),
+    (["validate"], _l3("q.root_of_unity.l", 3.7), "$.q.root_of_unity.l"),
+    (
+        ["validate"],
+        _l3("q.root_of_unity.s_matrix", [[0, 1.9], [-1.9, 0]]),
+        "$.q.root_of_unity.s_matrix[0][1]",
+    ),
+    (
+        ["validate"],
+        _l3("action.matrices", [[[1, 0], [0, 1]], [[0, "one"], [1, 0]]]),
+        "$.action.matrices[1][0][1]",
+    ),
+    (["normal-form"], {"matrix": [[0, "x"], [0, 0]]}, "$.matrix[0][1]"),
+    (["normal-form"], {"matrix": [[0, 1.7], [-1.7, 0]]}, "$.matrix[0][1]"),
+    (["normal-form"], {"matrix": []}, "$.matrix"),
+    (["normal-form"], {"matrix": [[0, 1], [2]]}, "$.matrix[1]"),
+    (["normal-form"], '{"matrix": [[0, 1], [-1, 0]', "$"),
+    (["specialize", case("l3_standard.json"), "--chi"], '{"values": ["2", "2"', "$"),
+    (["validate"], b"\xff\xfe", "$"),
+]
+
+
+def _write(path, doc):
+    if not isinstance(doc, (str, bytes)):
+        doc = json.dumps(doc)
+    path.write_bytes(doc if isinstance(doc, bytes) else doc.encode())
+    return path
 
 
 def test_parse_error_exit_code(tmp_path, capsys):
-    bad = tmp_path / "bad.json"
-    bad.write_text('{"field": {"kind": "quadratic", "D": 4}}')
-    assert main(["validate", str(bad)]) == 2
-    err = capsys.readouterr().err
-    assert "$.field" in err
+    assert main(["validate", str(_write(tmp_path / "good.json", _l3()))]) == 0
+    capsys.readouterr()
+    for i, (argv, doc, path) in enumerate(MALFORMED):
+        bad = _write(tmp_path / f"bad{i}.json", doc)
+        assert main(argv + [str(bad)]) == 2, (argv, doc)
+        assert f"parse error: {path}:" in capsys.readouterr().err, (argv, doc)
 
 
 def test_missing_file_exit_code(capsys):
