@@ -17,6 +17,7 @@ from .errors import (
     ProblemFormatError,
     QTorusError,
     SearchExhausted,
+    VerificationFailed,
 )
 from .numfield import (
     FieldAutomorphism,
@@ -44,6 +45,7 @@ __all__ = [
     "ProblemFormatError",
     "QTorusError",
     "SearchExhausted",
+    "VerificationFailed",
     "find_normal_basis",
     "norm",
     "norm_trace",

@@ -54,9 +54,13 @@ from .zlattice import alternating_normal_form, smith_normal_form
 def _emit(report, args, elapsed):
     print(report.render_text(elapsed))
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(report.to_dict(), fh, indent=2)
-            fh.write("\n")
+        try:
+            with open(args.json, "w", encoding="utf-8") as fh:
+                json.dump(report.to_dict(), fh, indent=2)
+                fh.write("\n")
+        except OSError as err:
+            print(f"error: cannot write report: {err}", file=sys.stderr)
+            return 1
     return 0 if report.ok else 1
 
 
@@ -306,7 +310,7 @@ def main(argv=None):
         start = time.time()
         report = args.func(args)
         return _emit(report, args, time.time() - start)
-    except (ProblemFormatError, FileNotFoundError) as err:
+    except ProblemFormatError as err:
         print(f"parse error: {err}", file=sys.stderr)
         return 2
     except PreconditionFailure as err:

@@ -21,7 +21,7 @@ from itertools import product
 from math import gcd
 
 from . import _linalg
-from .errors import OrderUndeclared, SearchExhausted
+from .errors import OrderUndeclared, SearchExhausted, VerificationFailed
 from .numfield import _ONE, _ZERO, unit_order
 from .torus import TwistedLaurentElement, term_key
 from .zlattice import Lattice, kernel_mod
@@ -55,7 +55,11 @@ def orbit(action, m):
         if im not in seen:
             seen.append(im)
     data = OrbitData(m, tuple(seen), tuple(stab))
-    assert len(data.orbit) * len(data.stabilizer) == len(action.galois)
+    if len(data.orbit) * len(data.stabilizer) != len(action.galois):
+        raise VerificationFailed(
+            "orbit-stabilizer count fails",
+            witness={"m": m, "orbit": len(data.orbit), "stabilizer": len(data.stabilizer)},
+        )
     return data
 
 
@@ -82,8 +86,7 @@ def _fixed_point_basis(action, labels, image_of):
             for j in range(d):
                 img = sig(powers[j]) * unit
                 col = [_ZERO] * dim
-                for j2 in range(d):
-                    col[p2 * d + j2] = img.coeffs[j2]
+                col[p2 * d : (p2 + 1) * d] = img.coeffs
                 cols.append(col)
         for r in range(dim):
             row = [cols[c][r] for c in range(dim)]
@@ -120,11 +123,17 @@ def invariant_basis(action, m):
 
     vecs = _fixed_point_basis(action, labels, image_of)
     elements = tuple(TwistedLaurentElement(action.qmatrix, dict(v)) for v in vecs)
-    assert len(elements) == len(data.orbit), "descent dimension mismatch"
+    if len(elements) != len(data.orbit):
+        raise VerificationFailed(
+            "descent dimension mismatch",
+            witness={"m": m, "fixed": len(elements), "orbit": len(data.orbit)},
+        )
     for elt in elements:
-        assert action.is_fixed(elt)
+        if not action.is_fixed(elt):
+            raise VerificationFailed("invariant basis element is not fixed", witness={"m": m})
     rows = [[elt.terms.get(lab, action.qmatrix.field.zero()) for elt in elements] for lab in labels]
-    assert _linalg.rank(rows) == len(labels), "orbit monomials not recovered over L"
+    if _linalg.rank(rows) != len(labels):
+        raise VerificationFailed("orbit monomials not recovered over L", witness={"m": m})
     return InvariantBasis(data, elements)
 
 
@@ -206,7 +215,10 @@ def split_cocycle(galois, gammas, subgroup=None):
         if b:
             gamma = b.inverse()
             for h in H:
-                assert field.element(gammas[h]) == galois.elements[h](gamma) * gamma.inverse()
+                if field.element(gammas[h]) != galois.elements[h](gamma) * gamma.inverse():
+                    raise VerificationFailed(
+                        "Hilbert 90 solution fails the coboundary identity", witness={"sigma": h}
+                    )
             return gamma
     raise SearchExhausted("no candidate produced a nonzero twisted sum")
 
@@ -233,39 +245,37 @@ def root_of_unity_data(Q):
     for row in Q.declared_orders:
         for o in row:
             l = l * o // gcd(l, o)
-    elems = {}
-    for row in Q.entries:
-        for x in row:
-            elems[x.coeffs] = x
+    elems = dict.fromkeys(x for row in Q.entries for x in row)
     while True:
         new = {}
-        vals = list(elems.values())
+        vals = list(elems)
         for a in vals:
             for b in vals:
                 p = a * b
-                if p.coeffs not in elems and p.coeffs not in new:
-                    new[p.coeffs] = p
+                if p not in elems:
+                    new[p] = None
         if not new:
             break
         elems.update(new)
         if len(elems) > l:
             raise OrderUndeclared("entry group larger than the declared lcm of orders")
     eps = None
-    for key in sorted(elems):
-        if unit_order(elems[key], l) == l:
-            eps = elems[key]
+    for x in sorted(elems, key=lambda x: x.coeffs):
+        if unit_order(x, l) == l:
+            eps = x
             break
-    assert eps is not None, "finite subgroup of a field without a generator"
+    if eps is None:
+        raise VerificationFailed("finite subgroup of a field without a generator", witness={"l": l})
     dlog = {}
     power = Q.field.one()
     for e in range(l):
-        dlog[power.coeffs] = e
+        dlog[power] = e
         power = power * eps
     n = Q.n
     S = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            s = dlog[Q.entries[i][j].coeffs]
+            s = dlog[Q.entries[i][j]]
             if s > l // 2:
                 s -= l
             S[i][j], S[j][i] = s, -s
@@ -281,7 +291,8 @@ def central_lattice(Q):
     l, _, S = root_of_unity_data(Q)
     lat = kernel_mod([list(r) for r in S], l)
     for row in lat.basis:
-        assert Q.is_central_exponent(row), "kernel vector fails the pairing check"
+        if not Q.is_central_exponent(row):
+            raise VerificationFailed("kernel vector fails the pairing check", witness={"row": row})
     return lat
 
 
@@ -326,7 +337,8 @@ def center_generators(action, l_center=False):
         ib = invariant_basis(action, row)
         for elt in ib.elements:
             ok, witness = is_central(elt)
-            assert ok, f"non-central invariant generator: {witness}"
+            if not ok:
+                raise VerificationFailed("non-central invariant generator", witness=witness)
         out.append(ib)
     return out
 

@@ -21,6 +21,17 @@ class SearchExhausted(QTorusError):
     """A bounded deterministic search ran out of candidates."""
 
 
+class VerificationFailed(QTorusError):
+    """A certificate the library computes for its own result did not hold.
+
+    ``witness`` locates the failed identity.
+    """
+
+    def __init__(self, message, witness=None):
+        super().__init__(message)
+        self.witness = witness
+
+
 class NotAntisymmetric(QTorusError, ValueError):
     """Input matrix fails S^T == -S."""
 

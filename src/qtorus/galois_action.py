@@ -256,13 +256,13 @@ def build_order2_action(qmatrix, galois, blocks):
                 cursor += 1
             if cursor >= n:
                 raise ValueError("more blocks than coordinates")
-            s = int(blk["sign"])
+            s = blk["sign"]
             if s not in (1, -1):
                 raise ValueError("sign must be +1 or -1")
             M[cursor][cursor] = s
             taken[cursor] = True
         elif "swap" in blk:
-            i, j = (int(x) for x in blk["swap"])
+            i, j = blk["swap"]
             if i == j or not (0 <= i < n and 0 <= j < n) or taken[i] or taken[j]:
                 raise ValueError(f"invalid swap pair {blk['swap']}")
             M[i][j] = M[j][i] = 1
@@ -287,8 +287,7 @@ def build_action(qmatrix, galois, spec):
     """Dispatch on a declarative action description (see the CLI schema)."""
     kind = spec.get("kind")
     if kind == "permutation":
-        perms = {int(k): tuple(v) for k, v in spec["perms"].items()}
-        return build_permutation_action(qmatrix, galois, perms)
+        return build_permutation_action(qmatrix, galois, spec["perms"])
     if kind == "trivial":
         return build_trivial_action(qmatrix, galois)
     if kind == "order2":

@@ -4,8 +4,16 @@ A field is described by a monic minimal polynomial over Q.  Three
 constructors are provided: ``NumberField.quadratic(D)`` for Q(sqrt(D)),
 ``NumberField.cyclotomic(l)`` for the l-th cyclotomic field, and
 ``NumberField.custom(...)`` where the caller supplies every automorphism.
-Elements are residue classes represented by coefficient vectors of
-length deg(f) over ``fractions.Fraction``; all operations are exact.
+
+An element is stored as integer numerators over one positive integer
+denominator, ``num / den`` with ``num`` a tuple of deg(f) ints, reduced
+so that gcd(den, *num) == 1 (Cohen, GTM 138, section 4.2).  Equal
+elements therefore have equal ``(num, den)``.  Products reduce modulo f
+with an integer table over one common denominator, which is 1 whenever
+f has integer coefficients, and inverses come from the product of the
+nontrivial conjugates, so the arithmetic runs on Python ints only.
+``FieldElement.coeffs`` is the same element as a tuple of
+``fractions.Fraction``, for linear algebra over Q and for reports.
 
 Irreducibility of a custom polynomial is not certified up front.  If an
 inversion ever exposes a nontrivial factor of f, the operation raises
@@ -17,10 +25,10 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from . import _linalg
-from .errors import FieldAssumptionViolated, SearchExhausted
+from .errors import FieldAssumptionViolated, SearchExhausted, VerificationFailed
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -108,7 +116,10 @@ def _cyclotomic_poly(l):
     for d in _divisors(l):
         if d < l:
             num, rem = _poly_divmod(num, _cyclotomic_poly(d))
-            assert not rem
+            if rem:
+                raise VerificationFailed(
+                    f"Phi_{d} does not divide t^{l} - 1", witness={"l": l, "d": d}
+                )
     _cyclotomic_cache[l] = num
     return num
 
@@ -125,13 +136,19 @@ def _is_squarefree(n):
     return True
 
 
+def _common_denominator(vectors):
+    """(den, int rows) with row / den == vector for each vector of Fractions."""
+    den = lcm(*(c.denominator for vec in vectors for c in vec))
+    return den, tuple(tuple(c.numerator * (den // c.denominator) for c in vec) for vec in vectors)
+
+
 # ---------------------------------------------------------------------------
 
 
 class NumberField:
     """Q[t]/(f) together with its reduction data and (optionally) Gal(L/Q)."""
 
-    __slots__ = ("min_poly", "kind", "param", "degree", "_red", "galois")
+    __slots__ = ("min_poly", "kind", "param", "degree", "_red", "_red_den", "galois")
 
     def __init__(self, min_poly, kind, param=None):
         coeffs = tuple(Fraction(c) for c in min_poly)
@@ -142,7 +159,7 @@ class NumberField:
         self.param = param
         self.degree = len(coeffs) - 1
         d = self.degree
-        # reduction table: coefficients of t^(d+k) mod f, k = 0 .. d-2
+        # reduction table: t^(d+k) mod f == _red[k] / _red_den, k = 0 .. d-2
         red = []
         base = [-c for c in coeffs[:d]]
         red.append(tuple(base))
@@ -153,7 +170,7 @@ class NumberField:
             if top:
                 shifted = [s + top * b for s, b in zip(shifted, base)]
             red.append(tuple(shifted))
-        self._red = tuple(red)
+        self._red_den, self._red = _common_denominator(red)
         self.galois = None
 
     # -- constructors -------------------------------------------------
@@ -192,11 +209,11 @@ class NumberField:
         """
         field = cls(min_poly, "custom")
         auts = [FieldAutomorphism(field, field.gen())]
-        seen = {auts[0].t_image.coeffs}
+        seen = {auts[0].t_image}
         for g in automorphisms:
             aut = FieldAutomorphism(field, field.element(g))
-            if aut.t_image.coeffs not in seen:
-                seen.add(aut.t_image.coeffs)
+            if aut.t_image not in seen:
+                seen.add(aut.t_image)
                 auts.append(aut)
         field.galois = GaloisGroup(field, auts)
         return field
@@ -221,12 +238,12 @@ class NumberField:
         if len(vec) > self.degree:
             raise ValueError("coefficient vector longer than field degree")
         vec += [_ZERO] * (self.degree - len(vec))
-        return FieldElement(self, tuple(vec))
+        den, (num,) = _common_denominator([vec])
+        return FieldElement(self, num, den)
 
     def from_rational(self, c):
-        vec = [_ZERO] * self.degree
-        vec[0] = Fraction(c)
-        return FieldElement(self, tuple(vec))
+        c = Fraction(c)
+        return FieldElement(self, (c.numerator,) + (0,) * (self.degree - 1), c.denominator)
 
     def zero(self):
         return self.from_rational(0)
@@ -238,33 +255,23 @@ class NumberField:
         if self.degree == 1:
             # t reduces to the root of the degree-1 polynomial
             return self.from_rational(-self.min_poly[0])
-        vec = [_ZERO] * self.degree
-        vec[1] = _ONE
-        return FieldElement(self, tuple(vec))
+        return FieldElement(self, (0, 1) + (0,) * (self.degree - 2), 1)
 
     def basis(self):
         """Powers of t below the degree, a Q-basis of the field."""
-        out = []
-        for j in range(self.degree):
-            vec = [_ZERO] * self.degree
-            vec[j] = _ONE
-            out.append(FieldElement(self, tuple(vec)))
-        return out
+        d = self.degree
+        return [FieldElement(self, tuple(int(i == j) for i in range(d)), 1) for j in range(d)]
 
     # -- internals -----------------------------------------------------
 
-    def _reduce_product(self, conv):
-        d = self.degree
-        out = list(conv[:d])
-        out += [_ZERO] * (d - len(out))
-        for e in range(d, len(conv)):
-            c = conv[e]
-            if c:
-                row = self._red[e - d]
-                for i in range(d):
-                    if row[i]:
-                        out[i] += c * row[i]
-        return tuple(out)
+    def _make(self, num, den):
+        """The element num / den, brought to the reduced form."""
+        if den == 1:
+            return FieldElement(self, tuple(num), 1)
+        g = gcd(den, *num)
+        if den < 0:
+            g = -g
+        return FieldElement(self, tuple(c // g for c in num), den // g)
 
     def same_field(self, other):
         return self is other or self.min_poly == other.min_poly
@@ -280,29 +287,41 @@ class NumberField:
 
 
 class FieldElement:
-    """Residue class in a NumberField; immutable, exact."""
+    """Residue class ``num / den`` in a NumberField; immutable, exact.
 
-    __slots__ = ("field", "coeffs")
+    ``num`` is a tuple of ints, one per power of t, and ``den`` a positive
+    int with gcd(den, *num) == 1.  Build elements through the field's
+    factories, which establish that form.
+    """
 
-    def __init__(self, field, coeffs):
+    __slots__ = ("field", "num", "den")
+
+    def __init__(self, field, num, den):
         self.field = field
-        self.coeffs = coeffs
+        self.num = num
+        self.den = den
+
+    @property
+    def coeffs(self):
+        """The coefficient vector over Q, as a tuple of Fractions."""
+        den = self.den
+        return tuple(Fraction(c, den) for c in self.num)
 
     # -- predicates ----------------------------------------------------
 
     def is_zero(self):
-        return not any(self.coeffs)
+        return not any(self.num)
 
     def __bool__(self):
-        return any(self.coeffs)
+        return any(self.num)
 
     def is_rational(self):
-        return not any(self.coeffs[1:])
+        return not any(self.num[1:])
 
     def as_fraction(self):
         if not self.is_rational():
             raise ValueError(f"{self!r} is not a rational element")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     # -- coercion ------------------------------------------------------
 
@@ -321,18 +340,24 @@ class FieldElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FieldElement(self.field, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        da, db = self.den, o.den
+        if da == db:
+            return self.field._make([a + b for a, b in zip(self.num, o.num)], da)
+        return self.field._make([a * db + b * da for a, b in zip(self.num, o.num)], da * db)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElement(self.field, tuple(-a for a in self.coeffs))
+        return FieldElement(self.field, tuple(-a for a in self.num), self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FieldElement(self.field, tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
+        da, db = self.den, o.den
+        if da == db:
+            return self.field._make([a - b for a, b in zip(self.num, o.num)], da)
+        return self.field._make([a * db - b * da for a, b in zip(self.num, o.num)], da * db)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -344,37 +369,58 @@ class FieldElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self.coeffs, o.coeffs
-        d = self.field.degree
+        field = self.field
+        a, b = self.num, o.num
+        d = field.degree
         if d == 1:
-            return FieldElement(self.field, (a[0] * b[0],))
-        conv = [_ZERO] * (2 * d - 1)
+            return field._make((a[0] * b[0],), self.den * o.den)
+        conv = [0] * (2 * d - 1)
         for i, ai in enumerate(a):
             if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        conv[i + j] += ai * bj
-        return FieldElement(self.field, self.field._reduce_product(conv))
+                for j, bj in enumerate(b, i):
+                    conv[j] += ai * bj
+        rden = field._red_den
+        out = conv[:d] if rden == 1 else [c * rden for c in conv[:d]]
+        for c, row in zip(conv[d:], field._red):
+            if c:
+                for i, r in enumerate(row):
+                    out[i] += c * r
+        return field._make(out, self.den * o.den * rden)
 
     __rmul__ = __mul__
 
     def inverse(self):
+        """The inverse, as (product of the other conjugates) / norm.
+
+        The norm a * rest is checked to be a nonzero rational before it
+        is divided by, so the result is a certified inverse.  When the
+        check fails, which needs a reducible custom polynomial, the
+        extended gcd with f gives the inverse or exposes a factor.
+        """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero field element")
+        field = self.field
         if self.is_rational():
-            return self.field.from_rational(1 / self.coeffs[0])
+            return field._make((self.den,) + self.num[1:], self.num[0])
+        if field.galois is not None:
+            conjugates = [sigma(self) for sigma in field.galois.elements[1:]]
+            rest = conjugates[0]
+            for c in conjugates[1:]:
+                rest = rest * c
+            n = self * rest
+            if n and n.is_rational():
+                # n == p / q, so the inverse is rest * q / p
+                p, q = n.num[0], n.den
+                return field._make([c * q for c in rest.num], rest.den * p)
         poly = _trim(list(self.coeffs))
-        g, u, _ = _poly_ext_gcd(poly, list(self.field.min_poly))
+        g, u, _ = _poly_ext_gcd(poly, list(field.min_poly))
         if len(g) != 1:
             raise FieldAssumptionViolated(
                 "inversion exposed a factor of the minimal polynomial",
                 factor=tuple(g),
             )
         inv_c = 1 / g[0]
-        vec = [c * inv_c for c in u]
-        vec = vec[: self.field.degree]
-        vec += [_ZERO] * (self.field.degree - len(vec))
-        return FieldElement(self.field, self.field._reduce_product(vec))
+        return field.element([c * inv_c for c in u])
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -410,10 +456,10 @@ class FieldElement:
             return False
         if o is None:
             return NotImplemented
-        return self.coeffs == o.coeffs
+        return self.den == o.den and self.num == o.num
 
     def __hash__(self):
-        return hash((self.field.min_poly, self.coeffs))
+        return hash((self.field.min_poly, self.num, self.den))
 
     def __repr__(self):
         parts = []
@@ -435,9 +481,13 @@ class FieldElement:
 
 
 class FieldAutomorphism:
-    """Field automorphism determined by the image of t; f(image) must vanish."""
+    """Field automorphism determined by the image of t; f(image) must vanish.
 
-    __slots__ = ("field", "t_image", "_pows")
+    sigma(t^j) == _cols[j] / _den, so sigma(a) is one integer
+    matrix-vector product.
+    """
+
+    __slots__ = ("field", "t_image", "_cols", "_den")
 
     def __init__(self, field, t_image):
         t_image = field.element(t_image)
@@ -454,15 +504,17 @@ class FieldAutomorphism:
         pows = [field.one()]
         for _ in range(field.degree - 1):
             pows.append(pows[-1] * t_image)
-        self._pows = tuple(pows)
+        self._den, self._cols = _common_denominator([p.coeffs for p in pows])
 
     def __call__(self, a):
-        a = self.field.element(a)
-        out = self.field.zero()
-        for c, p in zip(a.coeffs, self._pows):
+        field = self.field
+        a = field.element(a)
+        out = [0] * field.degree
+        for c, col in zip(a.num, self._cols):
             if c:
-                out = out + p * c
-        return out
+                for i, x in enumerate(col):
+                    out[i] += c * x
+        return field._make(out, a.den * self._den)
 
     def compose(self, other):
         """self after other: (self . other)(a) = self(other(a))."""
@@ -476,11 +528,11 @@ class FieldAutomorphism:
         return (
             isinstance(other, FieldAutomorphism)
             and self.field.same_field(other.field)
-            and self.t_image.coeffs == other.t_image.coeffs
+            and self.t_image == other.t_image
         )
 
     def __hash__(self):
-        return hash((self.field.min_poly, self.t_image.coeffs))
+        return hash(self.t_image)
 
     def __repr__(self):
         return f"Aut(t -> {self.t_image!r})"
@@ -504,9 +556,9 @@ class GaloisGroup:
         elements.sort(key=lambda a: (not a.is_identity, a.t_image.coeffs))
         index = {}
         for i, a in enumerate(elements):
-            if a.t_image.coeffs in index:
+            if a.t_image in index:
                 raise ValueError("duplicate automorphism")
-            index[a.t_image.coeffs] = i
+            index[a.t_image] = i
         if len(elements) != field.degree:
             raise ValueError(
                 f"got {len(elements)} automorphisms for degree {field.degree};"
@@ -517,7 +569,7 @@ class GaloisGroup:
             row = []
             for b in elements:
                 image = a(b.t_image)
-                k = index.get(image.coeffs)
+                k = index.get(image)
                 if k is None:
                     raise ValueError("automorphisms are not closed under composition")
                 row.append(k)

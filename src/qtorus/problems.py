@@ -86,16 +86,24 @@ def parse_field(doc, path="$.field"):
     raise ProblemFormatError(f"unknown field kind {kind!r}", path)
 
 
+def parse_array(doc, path):
+    if not isinstance(doc, list):
+        raise ProblemFormatError("expected an array", path)
+    return doc
+
+
+def parse_int_list(doc, path):
+    return [parse_int(x, f"{path}[{j}]") for j, x in enumerate(parse_array(doc, path))]
+
+
 def parse_int_matrix(doc, path):
     if not isinstance(doc, list) or not doc:
         raise ProblemFormatError("expected a nonempty matrix", path)
     out = []
     for i, row in enumerate(doc):
-        if not isinstance(row, list):
-            raise ProblemFormatError("expected a matrix row", f"{path}[{i}]")
-        if len(row) != len(doc[0]):
+        if isinstance(row, list) and len(row) != len(doc[0]):
             raise ProblemFormatError("matrix rows differ in length", f"{path}[{i}]")
-        out.append([parse_int(x, f"{path}[{i}][{j}]") for j, x in enumerate(row)])
+        out.append(parse_int_list(row, f"{path}[{i}]"))
     return out
 
 
@@ -156,25 +164,50 @@ def parse_action(qmatrix, galois, doc, path="$.action"):
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ProblemFormatError("action description needs a 'kind'", path)
     spec = dict(doc)
-    if spec["kind"] == "explicit":
-        try:
+    kind = doc["kind"]
+    try:
+        if kind == "permutation":
+            perms = doc["perms"]
+            if not isinstance(perms, dict):
+                raise ProblemFormatError("expected an object", f"{path}.perms")
+            spec["perms"] = {
+                parse_int(k, f"{path}.perms.{k}"): parse_int_list(v, f"{path}.perms.{k}")
+                for k, v in perms.items()
+            }
+        elif kind == "order2":
+            spec["blocks"] = [
+                _parse_block(blk, f"{path}.blocks[{i}]")
+                for i, blk in enumerate(parse_array(doc["blocks"], f"{path}.blocks"))
+            ]
+        elif kind == "explicit":
             spec["matrices"] = [
                 parse_int_matrix(M, f"{path}.matrices[{i}]")
-                for i, M in enumerate(doc["matrices"])
+                for i, M in enumerate(parse_array(doc["matrices"], f"{path}.matrices"))
             ]
             spec["cocycle"] = [
                 [
                     parse_element(qmatrix.field, v, f"{path}.cocycle[{i}][{j}]")
-                    for j, v in enumerate(row)
+                    for j, v in enumerate(parse_array(row, f"{path}.cocycle[{i}]"))
                 ]
-                for i, row in enumerate(doc["cocycle"])
+                for i, row in enumerate(parse_array(doc["cocycle"], f"{path}.cocycle"))
             ]
-        except KeyError as err:
-            raise ProblemFormatError(f"missing key {err}", path) from err
+    except KeyError as err:
+        raise ProblemFormatError(f"missing key {err}", path) from err
     try:
         return build_action(qmatrix, galois, spec)
     except (ValueError, KeyError) as err:
         raise ProblemFormatError(str(err), path) from err
+
+
+def _parse_block(blk, path):
+    """One order-2 block, {"sign": s} or {"swap": [i, j]}, with its integers parsed."""
+    if not isinstance(blk, dict):
+        raise ProblemFormatError("expected a block object", path)
+    if "sign" in blk:
+        return {"sign": parse_int(blk["sign"], f"{path}.sign")}
+    if "swap" in blk:
+        return {"swap": parse_int_list(blk["swap"], f"{path}.swap")}
+    return blk
 
 
 def parse_character(qmatrix, doc, path="$.character"):
@@ -235,10 +268,12 @@ def parse_problem(doc):
 
 
 def load_json(pathname):
-    """The JSON document in a file; undecodable text is a parse error at ``$``."""
+    """The JSON document in a file; an unreadable file or undecodable text is a parse error at ``$``."""
     try:
         with open(pathname, "r", encoding="utf-8") as fh:
             return json.load(fh)
+    except OSError as err:
+        raise ProblemFormatError(f"cannot read {pathname}: {err.strerror}", "$") from err
     except (json.JSONDecodeError, UnicodeDecodeError) as err:
         raise ProblemFormatError(f"invalid JSON: {err}", "$") from err
 

@@ -29,7 +29,7 @@ from .descent import (
     l_center_lattice,
     root_of_unity_data,
 )
-from .errors import InconsistentCharacter, PreconditionFailure
+from .errors import InconsistentCharacter, PreconditionFailure, VerificationFailed
 from .galois_action import build_order2_action, build_trivial_action
 from .numfield import _ONE, _ZERO, NumberField, norm, unit_order
 from .report import Report
@@ -93,7 +93,10 @@ class CentralCharacter:
                 prod_mono = prod_mono * TwistedLaurentElement.monomial(q, row) ** c
                 val = val * v ** c
         exp, unit = prod_mono.as_monomial()
-        assert exp == lam
+        if exp != lam:
+            raise VerificationFailed(
+                "basis monomial product left the lattice vector", witness={"lam": lam, "exp": exp}
+            )
         out = val * unit.inverse()
         self._cache[lam] = out
         return out
@@ -152,7 +155,8 @@ class FiniteDimAlgebra:
                 raise ValueError("unit vector does not act as identity")
         exhaustive = (self.is_monomial and n <= 100) or n <= 12
         ok, witness = self.check_associativity(sample=None if exhaustive else 200)
-        assert ok, f"non-associative table: {witness}"
+        if not ok:
+            raise VerificationFailed("non-associative table", witness=witness)
 
     @property
     def dim(self):
@@ -339,18 +343,21 @@ def rational_form(action, character, algebra=None):
 
     vecs = _fixed_point_basis(action, labels, image_of)
     N = len(labels)
-    assert len(vecs) == N, "rational form has wrong dimension"
+    if len(vecs) != N:
+        raise VerificationFailed(
+            "rational form has wrong dimension", witness={"fixed": len(vecs), "dim": N}
+        )
     field = Q.field
     d = field.degree
     rows = [[vec.get(lab, field.zero()) for vec in vecs] for lab in labels]
-    assert _linalg.rank(rows) == N, "rational basis is not an L-basis of the quotient"
+    if _linalg.rank(rows) != N:
+        raise VerificationFailed("rational basis is not an L-basis of the quotient")
 
     def flat(vec):
         out = [_ZERO] * (N * d)
         for lab, c in vec.items():
             p = index[lab]
-            for j in range(d):
-                out[p * d + j] = c.coeffs[j]
+            out[p * d : (p + 1) * d] = c.coeffs
         return out
 
     B = [flat(v) for v in vecs]

@@ -301,7 +301,7 @@ class TwistedLaurentElement:
         return self == self._as_elt(other)
 
     def __hash__(self):
-        return hash(frozenset((m, c.coeffs) for m, c in self.terms.items()))
+        return hash(frozenset(self.terms.items()))
 
     def __repr__(self):
         if not self.terms:

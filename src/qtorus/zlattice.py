@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import NotAntisymmetric
+from .errors import NotAntisymmetric, VerificationFailed
 
 
 def identity_matrix(n):
@@ -158,11 +158,15 @@ def smith_normal_form(A):
             U[t] = [-x for x in U[t]]
         t += 1
 
-    assert mat_mul(mat_mul(U, [list(r) for r in A]), V) == D
-    assert abs(det_bareiss(U)) == 1 and abs(det_bareiss(V)) == 1
+    if mat_mul(mat_mul(U, [list(r) for r in A]), V) != D:
+        raise VerificationFailed("Smith form: U * A * V != D", witness={"D": D})
+    if abs(det_bareiss(U)) != 1 or abs(det_bareiss(V)) != 1:
+        raise VerificationFailed("Smith form: a transform is not unimodular")
     for i in range(min(m, n) - 1):
-        if D[i + 1][i + 1]:
-            assert D[i][i] and D[i + 1][i + 1] % D[i][i] == 0
+        if D[i + 1][i + 1] and (not D[i][i] or D[i + 1][i + 1] % D[i][i]):
+            raise VerificationFailed(
+                "Smith form: divisibility chain broken", witness={"index": i, "D": D}
+            )
     return _freeze(D), _freeze(U), _freeze(V)
 
 
@@ -294,7 +298,8 @@ def kernel_mod(A, l):
     lat = Lattice.from_rows(rows, n)
     for i in range(n):
         unit = [l if k == i else 0 for k in range(n)]
-        assert unit in lat
+        if unit not in lat:
+            raise VerificationFailed("kernel lattice misses l * e_i", witness={"i": i})
     return lat
 
 
@@ -408,8 +413,16 @@ def alternating_normal_form(S):
                 want = ks[i // 2]
             elif j % 2 == 0 and i == j + 1 and j // 2 < len(ks):
                 want = -ks[j // 2]
-            assert St[i][j] == want
+            if St[i][j] != want:
+                raise VerificationFailed(
+                    "alternating form: U S U^T is not the normal form",
+                    witness={"entry": (i, j), "got": St[i][j], "want": want},
+                )
     for a, b in zip(ks, ks[1:]):
-        assert b % a == 0
-    assert abs(det_bareiss(U)) == 1
+        if b % a:
+            raise VerificationFailed(
+                "alternating form: divisibility chain broken", witness={"ks": ks}
+            )
+    if abs(det_bareiss(U)) != 1:
+        raise VerificationFailed("alternating form: transform is not unimodular")
     return _freeze(U), tuple(ks), zeros

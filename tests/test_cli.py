@@ -66,6 +66,18 @@ MALFORMED = [
         _l3("action.matrices", [[[1, 0], [0, 1]], [[0, "one"], [1, 0]]]),
         "$.action.matrices[1][0][1]",
     ),
+    (["validate"], _l3("action.matrices", 5), "$.action.matrices"),
+    (["validate"], _l3("action.cocycle", 5), "$.action.cocycle"),
+    (
+        ["validate"],
+        _l3("action", {"kind": "permutation", "perms": {"0": [0.0, 1.0], "1": [0.0, 1.0]}}),
+        "$.action.perms.0[0]",
+    ),
+    (
+        ["validate"],
+        _l3("action", {"kind": "order2", "blocks": [{"sign": 1.0}, {"sign": 1}]}),
+        "$.action.blocks[0].sign",
+    ),
     (["normal-form"], {"matrix": [[0, "x"], [0, 0]]}, "$.matrix[0][1]"),
     (["normal-form"], {"matrix": [[0, 1.7], [-1.7, 0]]}, "$.matrix[0][1]"),
     (["normal-form"], {"matrix": []}, "$.matrix"),
@@ -94,6 +106,14 @@ def test_parse_error_exit_code(tmp_path, capsys):
 
 def test_missing_file_exit_code(capsys):
     assert main(["validate", "/nonexistent/problem.json"]) == 2
+    assert "parse error: $: cannot read /nonexistent/problem.json" in capsys.readouterr().err
+
+
+def test_unwritable_report_is_not_a_parse_error(tmp_path, capsys):
+    # the input parses and the check passes; only writing --json fails
+    out_path = tmp_path / "nodir" / "report.json"
+    assert main(["center", case("l3_standard.json"), "--json", str(out_path)]) == 1
+    assert "error: cannot write report:" in capsys.readouterr().err
 
 
 def test_float_rationals_rejected(tmp_path, capsys):

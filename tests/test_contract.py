@@ -1,0 +1,40 @@
+"""Library-wide contracts: certificates raise typed errors, never bare asserts."""
+
+import ast
+import os
+
+import pytest
+
+import qtorus
+from qtorus.errors import QTorusError, VerificationFailed
+from qtorus.numfield import NumberField
+from qtorus.specialization import FiniteDimAlgebra
+
+PACKAGE = os.path.dirname(os.path.abspath(qtorus.__file__))
+
+
+def test_no_assert_statements_in_library():
+    # `python -O` strips assert statements, so a certificate must raise instead
+    found = []
+    for name in sorted(os.listdir(PACKAGE)):
+        if name.endswith(".py"):
+            path = os.path.join(PACKAGE, name)
+            with open(path, encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), filename=path)
+            found += [f"{name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert not found, found
+
+
+def test_failed_certificate_raises_verification_failed():
+    # e1 e1 = e2 and e2 e1 = e1 but e1 e2 = 0: (e1 e1) e1 != e1 (e1 e1)
+    field = NumberField.rationals()
+    one = field.one()
+    table = {(i, j): {} for i in range(3) for j in range(3)}
+    for i in range(3):
+        table[(0, i)] = table[(i, 0)] = {i: one}
+    table[(1, 1)] = {2: one}
+    table[(2, 1)] = {1: one}
+    with pytest.raises(VerificationFailed) as err:
+        FiniteDimAlgebra(field, ["1", "e1", "e2"], table, {0: one})
+    assert isinstance(err.value, QTorusError)
+    assert err.value.witness is not None

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -213,3 +214,91 @@ def test_rationals_field():
     a = Q.from_rational(Fraction(3, 4))
     assert (a * 4).as_fraction() == 3
     assert len(Q.galois) == 1
+
+
+# -- reference oracle: sympy polynomial arithmetic over QQ modulo f ----------
+
+ORACLE_FIELDS = {
+    "sqrt5": lambda: NumberField.quadratic(5),
+    "i": lambda: NumberField.quadratic(-1),
+    "zeta3": lambda: NumberField.cyclotomic(3),
+    "zeta5": lambda: NumberField.cyclotomic(5),
+    "zeta7": lambda: NumberField.cyclotomic(7),
+    # t^2 = 1/2: a monic polynomial whose reduction table has denominator 2
+    "sqrt_half": lambda: NumberField.custom([Fraction(-1, 2), 0, 1], [[0, -1]]),
+    # t = golden ratio / 2, t^2 = t/2 + 1/4: the conjugate 1/2 - t is not integral in t
+    "half_golden": lambda: NumberField.custom(
+        [Fraction(-1, 4), Fraction(-1, 2), 1], [[Fraction(1, 2), -1]]
+    ),
+}
+
+
+def _rand_fraction_elt(field, rng):
+    return field.element(
+        [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(field.degree)]
+    )
+
+
+def _assert_reduced(a):
+    assert all(type(c) is int for c in a.num) and type(a.den) is int
+    assert len(a.num) == a.field.degree
+    assert a.den > 0 and gcd(a.den, *a.num) == 1
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_FIELDS))
+def test_arithmetic_matches_sympy_oracle(name):
+    sympy = pytest.importorskip("sympy")
+    field = ORACLE_FIELDS[name]()
+    t = sympy.Symbol("t")
+    QQ = sympy.QQ
+
+    def poly(coeffs):
+        return sympy.Poly([QQ(c.numerator, c.denominator) for c in reversed(coeffs)], t, domain=QQ)
+
+    f = poly(field.min_poly)
+
+    def same(elt, p):
+        got = p.rem(f).all_coeffs()[::-1]
+        got = [Fraction(int(c.numerator), int(c.denominator)) for c in got]
+        got += [Fraction(0)] * (field.degree - len(got))
+        _assert_reduced(elt)
+        assert elt.coeffs == tuple(got)
+        assert all(type(c) is Fraction for c in elt.coeffs)
+
+    rng = random.Random(sum(map(ord, name)))
+    for _ in range(25):
+        a, b = _rand_fraction_elt(field, rng), _rand_fraction_elt(field, rng)
+        pa, pb = poly(a.coeffs), poly(b.coeffs)
+        same(a + b, pa + pb)
+        same(a - b, pa - pb)
+        same(a * b, pa * pb)
+        same(-a, -pa)
+        if a:
+            same(a.inverse(), pa.invert(f))
+            same(a ** -3, pa.invert(f) ** 3)
+            same(b / a, pb * pa.invert(f))
+        for sigma in field.galois:
+            same(sigma(a), pa.compose(poly(sigma.t_image.coeffs)))
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_FIELDS))
+def test_equal_elements_have_equal_form_and_hash(name):
+    field = ORACLE_FIELDS[name]()
+    rng = random.Random(len(name))
+    for _ in range(25):
+        a, b = _rand_fraction_elt(field, rng), _rand_fraction_elt(field, rng)
+        if not b:
+            continue
+        for other in (a * b * b.inverse(), (a + b) - b, field.element(a.coeffs), b * a / b):
+            assert other == a
+            assert (other.num, other.den) == (a.num, a.den)
+            assert hash(other) == hash(a)
+    assert hash(field.from_rational(Fraction(2, 4))) == hash(field.element([Fraction(1, 2)]))
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_FIELDS))
+def test_galois_elements_sorted_by_fraction_images(name):
+    group = ORACLE_FIELDS[name]().galois
+    key = lambda a: (not a.is_identity, a.t_image.coeffs)  # noqa: E731
+    assert list(group.elements) == sorted(group.elements, key=key)
+    assert group.elements[0].is_identity
