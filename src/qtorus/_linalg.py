@@ -30,8 +30,8 @@ def rref(rows):
         if pr is None:
             continue
         mat[r], mat[pr] = mat[pr], mat[r]
-        inv_piv = mat[r][c]
-        mat[r] = [x / inv_piv for x in mat[r]]
+        inv = 1 / mat[r][c]
+        mat[r] = [x * inv for x in mat[r]]
         for i in range(len(mat)):
             if i != r and mat[i][c]:
                 f = mat[i][c]

@@ -233,6 +233,17 @@ def cmd_selftest(args):
     return run_selftest(seed=args.seed)
 
 
+def _int_at_least(low):
+    """An argparse ``type``: an integer no less than ``low``, else argparse exits 2."""
+
+    def integer(text):
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
+        return int(text)
+
+    return integer
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="qtorus",
@@ -248,13 +259,13 @@ def build_parser():
 
     p = sub.add_parser("validate", help="re-verify every defining identity of the action")
     common(p)
-    p.add_argument("--degree-bound", type=int, default=3)
-    p.add_argument("--samples", type=int, default=50)
+    p.add_argument("--degree-bound", type=_int_at_least(0), default=3)
+    p.add_argument("--samples", type=_int_at_least(1), default=50)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("invariants", help="orbit invariant bases with a completeness sweep")
     common(p)
-    p.add_argument("--degree-bound", type=int, default=3)
+    p.add_argument("--degree-bound", type=_int_at_least(0), default=3)
     p.set_defaults(func=cmd_invariants)
 
     p = sub.add_parser("center", help="central lattice and invariant center generators")

@@ -68,7 +68,9 @@ def _fixed_point_basis(action, labels, image_of):
 
     ``labels`` lists the permuted lines in canonical order; ``image_of``
     maps (sigma_idx, label) to (unit, label').  Returns a list of
-    {label: FieldElement} coefficient dictionaries, RREF-canonical.
+    {label: FieldElement} coefficient dictionaries, RREF-canonical (flattened
+    over the power basis, they are the nonzero rows of an RREF), certified
+    to number one per line and to have full rank over L.
     """
     field = action.qmatrix.field
     d = field.degree
@@ -104,15 +106,21 @@ def _fixed_point_basis(action, labels, image_of):
             if c:
                 coeffs[lab] = c
         out.append(coeffs)
+    witness = {"first_label": labels[0], "fixed": len(out), "lines": len(labels)}
+    if len(out) != len(labels):
+        raise VerificationFailed("descent dimension mismatch", witness=witness)
+    rows = [[vec.get(lab, field.zero()) for vec in out] for lab in labels]
+    if _linalg.rank(rows) != len(labels):
+        raise VerificationFailed("fixed points do not span the lines over L", witness=witness)
     return out
 
 
 def invariant_basis(action, m):
     """Q-basis of the Galois-fixed points of the L-span of the orbit of x^m.
 
-    The output is verified on the spot: the count equals the orbit size,
-    every element is fixed by the whole group, and the L-span of the
-    output still contains each orbit monomial.
+    The output is verified on the spot: every element is fixed by the whole
+    group, and (certified by ``_fixed_point_basis``) the count equals the
+    orbit size and the L-span of the output contains each orbit monomial.
     """
     data = orbit(action, m)
     labels = sorted(data.orbit, key=term_key)
@@ -123,17 +131,9 @@ def invariant_basis(action, m):
 
     vecs = _fixed_point_basis(action, labels, image_of)
     elements = tuple(TwistedLaurentElement(action.qmatrix, dict(v)) for v in vecs)
-    if len(elements) != len(data.orbit):
-        raise VerificationFailed(
-            "descent dimension mismatch",
-            witness={"m": m, "fixed": len(elements), "orbit": len(data.orbit)},
-        )
     for elt in elements:
         if not action.is_fixed(elt):
             raise VerificationFailed("invariant basis element is not fixed", witness={"m": m})
-    rows = [[elt.terms.get(lab, action.qmatrix.field.zero()) for elt in elements] for lab in labels]
-    if _linalg.rank(rows) != len(labels):
-        raise VerificationFailed("orbit monomials not recovered over L", witness={"m": m})
     return InvariantBasis(data, elements)
 
 

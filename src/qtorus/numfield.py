@@ -437,14 +437,14 @@ class FieldElement:
     def __pow__(self, e):
         if not isinstance(e, int):
             return NotImplemented
-        base = self if e >= 0 else self.inverse()
-        e = abs(e)
-        result = self.field.one()
-        while e:
-            if e & 1:
+        if e == 0:
+            return self.field.one()
+        base = self if e > 0 else self.inverse()
+        result = base
+        for bit in bin(abs(e))[3:]:
+            result = result * result
+            if bit == "1":
                 result = result * base
-            base = base * base
-            e >>= 1
         return result
 
     # -- comparisons ---------------------------------------------------

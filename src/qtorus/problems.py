@@ -121,7 +121,10 @@ def parse_qmatrix(fld, doc, path="$.q"):
         if "root_of_unity" in doc:
             sub = doc["root_of_unity"]
             l = parse_int(sub["l"], f"{path}.root_of_unity.l")
-            S = parse_int_matrix(sub["s_matrix"], f"{path}.root_of_unity.s_matrix")
+            s_path = f"{path}.root_of_unity.s_matrix"
+            S = parse_int_matrix(sub["s_matrix"], s_path)
+            if len(S[0]) != len(S):
+                raise ProblemFormatError("expected a square matrix", s_path)
             if "epsilon" in sub:
                 eps = parse_element(fld, sub["epsilon"], f"{path}.root_of_unity.epsilon")
             elif fld.kind == "cyclotomic":
@@ -141,6 +144,8 @@ def parse_qmatrix(fld, doc, path="$.q"):
             orders = doc.get("declared_orders")
             if orders is not None:
                 orders = parse_int_matrix(orders, f"{path}.declared_orders")
+                if len(orders) != len(entries) or len(orders[0]) != len(entries):
+                    raise ProblemFormatError("not the size of entries", f"{path}.declared_orders")
             args = ("entries", entries, orders)
         else:
             raise ProblemFormatError("q needs 'entries' or 'root_of_unity'", path)
@@ -180,10 +185,14 @@ def parse_action(qmatrix, galois, doc, path="$.action"):
                 for i, blk in enumerate(parse_array(doc["blocks"], f"{path}.blocks"))
             ]
         elif kind == "explicit":
+            n = qmatrix.n
             spec["matrices"] = [
                 parse_int_matrix(M, f"{path}.matrices[{i}]")
                 for i, M in enumerate(parse_array(doc["matrices"], f"{path}.matrices"))
             ]
+            for i, M in enumerate(spec["matrices"]):
+                if len(M) != n or len(M[0]) != n:
+                    raise ProblemFormatError(f"expected {n} x {n}", f"{path}.matrices[{i}]")
             spec["cocycle"] = [
                 [
                     parse_element(qmatrix.field, v, f"{path}.cocycle[{i}][{j}]")
@@ -191,6 +200,9 @@ def parse_action(qmatrix, galois, doc, path="$.action"):
                 ]
                 for i, row in enumerate(parse_array(doc["cocycle"], f"{path}.cocycle"))
             ]
+            for i, row in enumerate(spec["cocycle"]):
+                if len(row) != n:
+                    raise ProblemFormatError(f"expected {n} values", f"{path}.cocycle[{i}]")
     except KeyError as err:
         raise ProblemFormatError(f"missing key {err}", path) from err
     try:
@@ -261,9 +273,11 @@ def parse_problem(doc):
     if not isinstance(options, dict):
         raise ProblemFormatError("options must be an object", "$.options")
     options = dict(options)
-    for key in ("degree_bound", "samples"):
+    for key, low in (("degree_bound", 0), ("samples", 1)):
         if key in options:
             options[key] = parse_int(options[key], f"$.options.{key}")
+            if options[key] < low:
+                raise ProblemFormatError(f"must be at least {low}", f"$.options.{key}")
     return ProblemSpec(fld, qmatrix, action, character, which, options, doc)
 
 

@@ -31,7 +31,7 @@ from .descent import (
 )
 from .errors import InconsistentCharacter, PreconditionFailure, VerificationFailed
 from .galois_action import build_order2_action, build_trivial_action
-from .numfield import _ONE, _ZERO, NumberField, norm, unit_order
+from .numfield import _ZERO, NumberField, norm, unit_order
 from .report import Report
 from .torus import QMatrix, TwistedLaurentElement
 from .zlattice import alternating_normal_form
@@ -269,14 +269,13 @@ class FiniteDimAlgebra:
 # quotient construction
 
 
-def specialize(action, character, which=None, form="L"):
+def specialize(action, character, which=None):
     """The finite dimensional fiber of the algebra at a central character.
 
-    ``which`` optionally cross-checks that the character lives on the
-    full central lattice ("full_center") or on l * Z^n ("l_center").
-    ``form`` is "L" for the monomial quotient over L, or "k" for its
-    rational form computed by Galois descent (character values must then
-    be rational and equivariant).
+    Returns the monomial quotient over L; ``rational_form`` computes its
+    rational form by Galois descent.  ``which`` optionally cross-checks
+    that the character lives on the full central lattice ("full_center")
+    or on l * Z^n ("l_center").
     """
     Q = action.qmatrix
     if character.qmatrix is not Q:
@@ -285,13 +284,7 @@ def specialize(action, character, which=None, form="L"):
         raise ValueError("character does not live on the full central lattice")
     if which == "l_center" and character.lattice != l_center_lattice(Q):
         raise ValueError("character does not live on the l-center lattice")
-    algebra = _quotient_algebra(Q, character)
-    if form == "L":
-        return algebra
-    if form == "k":
-        rational, _ = rational_form(action, character, algebra)
-        return rational
-    raise ValueError(f"unknown form {form!r}")
+    return _quotient_algebra(Q, character)
 
 
 def _quotient_algebra(Q, character):
@@ -343,36 +336,23 @@ def rational_form(action, character, algebra=None):
 
     vecs = _fixed_point_basis(action, labels, image_of)
     N = len(labels)
-    if len(vecs) != N:
-        raise VerificationFailed(
-            "rational form has wrong dimension", witness={"fixed": len(vecs), "dim": N}
-        )
-    field = Q.field
-    d = field.degree
-    rows = [[vec.get(lab, field.zero()) for vec in vecs] for lab in labels]
-    if _linalg.rank(rows) != N:
-        raise VerificationFailed("rational basis is not an L-basis of the quotient")
+    d = Q.field.degree
+    embedded = [{index[lab]: c for lab, c in v.items()} for v in vecs]
 
     def flat(vec):
         out = [_ZERO] * (N * d)
-        for lab, c in vec.items():
-            p = index[lab]
+        for p, c in vec.items():
             out[p * d : (p + 1) * d] = c.coeffs
         return out
 
-    B = [flat(v) for v in vecs]
-    aug = [row + [_ONE if r == i else _ZERO for i in range(N)] for r, row in enumerate(B)]
-    red, pivots = _linalg.rref(aug)
-    piv_cols = pivots[:N]
-    E = [row[N * d :] for row in red]
+    # the flattened basis is in RREF, so a vector's coordinates in it are
+    # its entries at the pivot columns whenever it lies in the span
+    B = [flat(v) for v in embedded]
+    pivots = [next(p for p, val in enumerate(row) if val) for row in B]
 
-    def coords_of(wflat):
-        a = [wflat[p] for p in piv_cols]
-        c = [_ZERO] * N
-        for i, ai in enumerate(a):
-            if ai:
-                for b in range(N):
-                    c[b] += ai * E[i][b]
+    def coords_of(vec):
+        w = flat(vec)
+        c = [w[p] for p in pivots]
         # exact reconstruction check
         recon = [_ZERO] * (N * d)
         for b, cb in enumerate(c):
@@ -380,28 +360,15 @@ def rational_form(action, character, algebra=None):
                 for p, val in enumerate(B[b]):
                     if val:
                         recon[p] += cb * val
-        if recon != wflat:
+        if recon != w:
             raise InconsistentCharacter("product left the rational form")
-        return c
+        return {b: rationals.from_rational(cb) for b, cb in enumerate(c) if cb}
 
-    def as_quotient_vec(coeff_dict):
-        return {index[lab]: c for lab, c in coeff_dict.items()}
-
-    embedded = [as_quotient_vec(v) for v in vecs]
     rationals = NumberField.rationals()
-    table = {}
-    for i in range(N):
-        for j in range(N):
-            w = algebra.mul(embedded[i], embedded[j])
-            wdict = {labels[k]: c for k, c in w.items()}
-            coords = coords_of(flat(wdict))
-            table[(i, j)] = {
-                b: rationals.from_rational(cb) for b, cb in enumerate(coords) if cb
-            }
-    unit_dict = {labels[k]: c for k, c in algebra.unit.items()}
-    unit_coords = coords_of(flat(unit_dict))
-    unit = {b: rationals.from_rational(cb) for b, cb in enumerate(unit_coords) if cb}
-    rational = FiniteDimAlgebra(rationals, tuple(range(N)), table, unit)
+    table = {
+        (i, j): coords_of(algebra.mul(embedded[i], embedded[j])) for i in range(N) for j in range(N)
+    }
+    rational = FiniteDimAlgebra(rationals, tuple(range(N)), table, coords_of(algebra.unit))
     return rational, vecs
 
 
@@ -484,7 +451,7 @@ def cyclic_decomposition(action, character):
                 ok, witness = False, {"pair": (a, b)}
     rep.add("cross-block-generators-commute", ok, witness)
 
-    algebra = specialize(action, character, which="l_center", form="L")
+    algebra = specialize(action, character, which="l_center")
     vecs = [embed_monomial(algebra, character, g) for g in gens]
 
     ok = True

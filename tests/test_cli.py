@@ -78,6 +78,20 @@ MALFORMED = [
         _l3("action", {"kind": "order2", "blocks": [{"sign": 1.0}, {"sign": 1}]}),
         "$.action.blocks[0].sign",
     ),
+    (["validate"], _l3("action.matrices", [[[1]], [[1]]]), "$.action.matrices[0]"),
+    (["center"], _l3("action.cocycle", [["1"], ["1"]]), "$.action.cocycle[0]"),
+    (["validate"], _l3("q.root_of_unity.s_matrix", [[0], [1]]), "$.q.root_of_unity.s_matrix"),
+    (
+        ["center"],
+        {
+            "field": {"kind": "quadratic", "D": 5},
+            "q": {"entries": [["1", "-1"], ["-1", "1"]], "declared_orders": [[1, 3]]},
+            "action": {"kind": "trivial"},
+        },
+        "$.q.declared_orders",
+    ),
+    (["validate"], _l3("options", {"degree_bound": -1}), "$.options.degree_bound"),
+    (["invariants"], _l3("options", {"samples": 0}), "$.options.samples"),
     (["normal-form"], {"matrix": [[0, "x"], [0, 0]]}, "$.matrix[0][1]"),
     (["normal-form"], {"matrix": [[0, 1.7], [-1.7, 0]]}, "$.matrix[0][1]"),
     (["normal-form"], {"matrix": []}, "$.matrix"),
@@ -102,6 +116,22 @@ def test_parse_error_exit_code(tmp_path, capsys):
         bad = _write(tmp_path / f"bad{i}.json", doc)
         assert main(argv + [str(bad)]) == 2, (argv, doc)
         assert f"parse error: {path}:" in capsys.readouterr().err, (argv, doc)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "--degree-bound", "-1"],
+        ["invariants", "--degree-bound", "-1"],
+        ["validate", "--samples", "0"],
+    ],
+)
+def test_out_of_range_flag_exits_2(argv, capsys):
+    # a negative bound sweeps no monomial and passes vacuously; argparse rejects it
+    with pytest.raises(SystemExit) as err:
+        main(argv + [case("case2_sqrt5.json")])
+    assert err.value.code == 2
+    assert "must be at least" in capsys.readouterr().err
 
 
 def test_missing_file_exit_code(capsys):

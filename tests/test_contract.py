@@ -13,15 +13,43 @@ from qtorus.specialization import FiniteDimAlgebra
 PACKAGE = os.path.dirname(os.path.abspath(qtorus.__file__))
 
 
-def test_no_assert_statements_in_library():
-    # `python -O` strips assert statements, so a certificate must raise instead
-    found = []
+def library_modules():
+    """(file name, AST) of every module of the package."""
     for name in sorted(os.listdir(PACKAGE)):
         if name.endswith(".py"):
             path = os.path.join(PACKAGE, name)
             with open(path, encoding="utf-8") as fh:
-                tree = ast.parse(fh.read(), filename=path)
-            found += [f"{name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+                yield name, ast.parse(fh.read(), filename=path)
+
+
+def test_no_assert_statements_in_library():
+    # `python -O` strips assert statements, so a certificate must raise instead
+    found = []
+    for name, tree in library_modules():
+        found += [f"{name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert not found, found
+
+
+def test_no_unused_imports_in_library():
+    # an import nothing reads is left over from deleted code; names in __all__ are re-exports
+    found = []
+    for name, tree in library_modules():
+        imported = {}
+        used = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                used.update(ast.literal_eval(node.value))
+        found += [f"{name}:{line} {imp}" for imp, line in imported.items() if imp not in used]
     assert not found, found
 
 

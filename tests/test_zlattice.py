@@ -93,6 +93,39 @@ def test_hermite_canonical():
     assert H2 == ((3, 0), (0, 3))
 
 
+def test_smith_diagonal_matches_sympy_invariant_factors():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+
+    rng = random.Random(1)
+    for _ in range(200):
+        m, n = rng.randint(1, 5), rng.randint(1, 5)
+        A = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)]
+        D, _, _ = smith_normal_form(A)
+        factors = [abs(int(x)) for x in invariant_factors(sympy.Matrix(A), domain=sympy.ZZ)]
+        assert diagonal(D) == factors + [0] * (min(m, n) - len(factors)), A
+
+
+def test_hermite_lattice_matches_sympy():
+    # sympy's column HNF of A^T is lower triangular, so compare the lattices
+    # the two generate, each put into this module's canonical form
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import hermite_normal_form as sympy_hnf
+
+    rng = random.Random(2)
+    checked = 0
+    for _ in range(200):
+        m, n = rng.randint(1, 5), rng.randint(1, 5)
+        A = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)]
+        if sympy.Matrix(A).rank() != n:
+            continue
+        H = sympy_hnf(sympy.Matrix(A).T).T
+        sympy_rows = [[int(x) for x in H.row(i)] for i in range(H.rows)]
+        assert hermite_normal_form(sympy_rows) == hermite_normal_form(A), A
+        checked += 1
+    assert checked >= 100
+
+
 def kernel_brute_force(A, l):
     """All residues m mod l with A m == 0 mod l, as a set."""
     n = len(A)
