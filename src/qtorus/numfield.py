@@ -432,7 +432,7 @@ class FieldElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o * self.inverse()
+        return self.inverse() if other == 1 else o * self.inverse()
 
     def __pow__(self, e):
         if not isinstance(e, int):

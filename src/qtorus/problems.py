@@ -136,11 +136,15 @@ def parse_qmatrix(fld, doc, path="$.q"):
                 )
             args = ("root_of_unity", l, eps, S)
         elif "entries" in doc:
-            rows = doc["entries"]
-            entries = [
-                [parse_element(fld, x, f"{path}.entries[{i}][{j}]") for j, x in enumerate(row)]
-                for i, row in enumerate(rows)
-            ]
+            rows = parse_array(doc["entries"], f"{path}.entries")
+            entries = []
+            for i, row in enumerate(rows):
+                row_path = f"{path}.entries[{i}]"
+                if len(parse_array(row, row_path)) != len(rows):
+                    raise ProblemFormatError(f"expected {len(rows)} values: q is square", row_path)
+                entries.append(
+                    [parse_element(fld, x, f"{row_path}[{j}]") for j, x in enumerate(row)]
+                )
             orders = doc.get("declared_orders")
             if orders is not None:
                 orders = parse_int_matrix(orders, f"{path}.declared_orders")

@@ -48,6 +48,14 @@ def _l3(key=None, value=None):
     return doc
 
 
+def _case2_entries(entries):
+    """The shipped case2_sqrt5 document with its q.entries replaced."""
+    with open(case("case2_sqrt5.json")) as fh:
+        doc = json.load(fh)
+    doc["q"]["entries"] = entries
+    return doc
+
+
 # (argv before the file, document or raw text or bytes, JSON path the
 # error must name); every entry exits 2, none may crash or silently
 # truncate a float
@@ -90,6 +98,8 @@ MALFORMED = [
         },
         "$.q.declared_orders",
     ),
+    (["validate"], _case2_entries([[["1"], ["-1"]]]), "$.q.entries[0]"),
+    (["validate"], _case2_entries([[["1"], ["9", "4"]], [["9", "-4"]]]), "$.q.entries[1]"),
     (["validate"], _l3("options", {"degree_bound": -1}), "$.options.degree_bound"),
     (["invariants"], _l3("options", {"samples": 0}), "$.options.samples"),
     (["normal-form"], {"matrix": [[0, "x"], [0, 0]]}, "$.matrix[0][1]"),

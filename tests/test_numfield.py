@@ -302,3 +302,31 @@ def test_galois_elements_sorted_by_fraction_images(name):
     key = lambda a: (not a.is_identity, a.t_image.coeffs)  # noqa: E731
     assert list(group.elements) == sorted(group.elements, key=key)
     assert group.elements[0].is_identity
+
+
+def test_reciprocal_of_one_makes_no_product_by_one(monkeypatch):
+    # 1 / a is a.inverse() with the same products; other dividends still multiply
+    from qtorus.numfield import FieldElement
+
+    calls = []
+    mul = FieldElement.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(FieldElement, "__mul__", counted)
+    rng = random.Random(3)
+    for field in (NumberField.quadratic(5), NumberField.cyclotomic(5)):
+        for _ in range(5):
+            a = rand_elt(field, rng)
+            if not a:
+                continue
+            calls.clear()
+            inv = a.inverse()
+            n_inverse = len(calls)
+            calls.clear()
+            for one in (1, Fraction(1)):
+                assert one / a == inv
+            assert len(calls) == 2 * n_inverse
+            assert Fraction(2, 3) / a == inv * Fraction(2, 3)

@@ -10,6 +10,7 @@ from qtorus.numfield import NumberField
 from qtorus.specialization import (
     CentralCharacter,
     FiniteDimAlgebra,
+    _quotient_algebra,
     catalog_case,
     commutative_cyclic,
     crossed_product_witness,
@@ -108,6 +109,81 @@ def test_center_dim_general_path_matches_monomial(zeta3):
     forced = FiniteDimAlgebra(alg.field, alg.labels, alg.table, alg.unit)
     forced.is_monomial = False
     assert forced.center_dim() == alg.center_dim() == 1
+
+
+def test_monomial_exhaustive_bound_is_125(monkeypatch):
+    samples = []
+    check = FiniteDimAlgebra.check_associativity
+
+    def spy(self, sample=None, seed=0):
+        samples.append(sample)
+        return check(self, sample, seed)
+
+    monkeypatch.setattr(FiniteDimAlgebra, "check_associativity", spy)
+    rationals = NumberField.rationals()
+    assert commutative_cyclic(rationals, 125, 2).dim == 125
+    assert commutative_cyclic(rationals, 126, 2).dim == 126
+    assert samples == [None, 200]
+
+
+def _random_quotient(field, l, rng):
+    """The l-center quotient of a random root-of-unity matrix, values random units."""
+    n = rng.choice((2, 3)) if l == 3 else 2
+    S = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(a + 1, n):
+            S[a][b] = rng.randrange(l)
+            S[b][a] = -S[a][b]
+    Q = QMatrix.from_root_of_unity(field, l, field.gen(), S)
+    values = [field.element([rng.randint(1, 3), rng.randint(-2, 2)]) for _ in range(n)]
+    return _quotient_algebra(Q, CentralCharacter.for_l_center(Q, values))
+
+
+def _corruptions(alg, rng):
+    """Copies of a monomial table with one coefficient, target or product changed."""
+    n = alg.dim
+    out = []
+    for kind in ("coefficient", "target", "zero"):
+        table = dict(alg.table)
+        i, j = rng.randrange(1, n), rng.randrange(1, n)
+        ((k, c),) = table[(i, j)].items()
+        if kind == "coefficient":
+            table[(i, j)] = {k: c * alg.field.gen() * 2}
+        elif kind == "target":
+            table[(i, j)] = {(k + rng.randrange(1, n)) % n: c}
+        else:
+            table[(i, j)] = {}
+        out.append(table)
+    return out
+
+
+def test_cocycle_kernel_matches_generic_check():
+    # the monomial kernel against check_associativity through mul, with
+    # the same triples and the same first failing triple
+    rng = random.Random(11)
+    tables = []
+    for field, l in ((NumberField.cyclotomic(3), 3), (NumberField.cyclotomic(4), 4)):
+        for _ in range(3):
+            alg = _random_quotient(field, l, rng)
+            tables.append((alg, alg.table))
+            tables.extend((alg, t) for t in _corruptions(alg, rng))
+        nil = truncated_line(field)
+        tables.append((nil, nil.table))
+    failures = 0
+    for alg, table in tables:
+        kernel = FiniteDimAlgebra(alg.field, alg.labels, alg.table, alg.unit)
+        generic = FiniteDimAlgebra(alg.field, alg.labels, alg.table, alg.unit)
+        assert kernel.is_monomial
+        generic.is_monomial = False
+        kernel.table = generic.table = table
+        want = generic.check_associativity()
+        assert kernel.check_associativity() == want, alg.labels
+        failures += not want[0]
+        for s in range(3):
+            got = kernel.check_associativity(sample=200, seed=s)
+            assert got == generic.check_associativity(sample=200, seed=s)
+    # every corrupted table is caught, and the valid ones pass
+    assert failures == 18
 
 
 def check_rational_form_embeds(action, char, alg_L, alg_k, embedding):
