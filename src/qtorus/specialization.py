@@ -31,7 +31,7 @@ from .descent import (
 )
 from .errors import InconsistentCharacter, PreconditionFailure, VerificationFailed
 from .galois_action import build_order2_action, build_trivial_action
-from .numfield import _ZERO, NumberField, norm, unit_order
+from .numfield import NumberField, norm, unit_order
 from .report import Report
 from .torus import QMatrix, TwistedLaurentElement
 from .zlattice import alternating_normal_form
@@ -131,16 +131,38 @@ class FiniteDimAlgebra:
     dicts.  Multiplication tables coming from monomial quotients have a
     single target per product, which enables fast centrality checks.
 
-    Construction checks associativity.  A monomial table is checked as
-    the 2-cocycle identity on its targets and interned coefficients, on
-    every triple up to dim 125; any other table is checked through
-    ``mul`` on every triple up to dim 12.  Larger tables are checked on
-    200 triples drawn with seed 0.
+    Construction checks associativity on every triple, at any dimension;
+    the cost grows as n^3.  Each table gets one certificate:
+
+    * a monomial table (every L-form): the 2-cocycle identity of its
+      coefficients, one row of triples at a time (``_check_cocycle``);
+    * any other table: (e_i e_j) e_k == e_i (e_j e_k) through ``mul``;
+    * the rational form built by ``rational_form``: transported from its
+      L-form through an injective unital ring map (``_transported``).
     """
 
     __slots__ = ("field", "labels", "table", "unit", "is_monomial")
 
     def __init__(self, field, labels, table, unit):
+        self._set_table(field, labels, table, unit)
+        ok, witness = self.check_associativity()
+        if not ok:
+            raise VerificationFailed("non-associative table", witness=witness)
+
+    @classmethod
+    def _transported(cls, field, labels, table, unit):
+        """An algebra whose associativity its caller has already proven.
+
+        The caller must certify an injective map of the basis into an
+        associative algebra that is unital and multiplicative on every
+        basis pair; associativity then carries over, and no triple is
+        checked here.
+        """
+        self = cls.__new__(cls)
+        self._set_table(field, labels, table, unit)
+        return self
+
+    def _set_table(self, field, labels, table, unit):
         self.field = field
         self.labels = tuple(labels)
         n = len(self.labels)
@@ -159,10 +181,6 @@ class FiniteDimAlgebra:
             ej = {j: field.one()}
             if self.mul(self.unit, ej) != ej or self.mul(ej, self.unit) != ej:
                 raise ValueError("unit vector does not act as identity")
-        exhaustive = (self.is_monomial and n <= 125) or n <= 12
-        ok, witness = self.check_associativity(sample=None if exhaustive else 200)
-        if not ok:
-            raise VerificationFailed("non-associative table", witness=witness)
 
     @property
     def dim(self):
@@ -201,16 +219,22 @@ class FiniteDimAlgebra:
         return c if scaled == vec else None
 
     def check_associativity(self, sample=None, seed=0):
+        """(True, None), or (False, the first triple (i, j, k) that fails).
+
+        Checks every triple in ``product(range(n), repeat=3)`` order; a
+        monomial table through ``_check_cocycle``.  With ``sample``, only
+        that many triples drawn with ``seed`` are checked, through ``mul``.
+        """
         n = self.dim
         if sample is None:
+            if self.is_monomial:
+                return self._check_cocycle()
             triples = product(range(n), repeat=3)
         else:
             rng = random.Random(seed)
             triples = [
                 (rng.randrange(n), rng.randrange(n), rng.randrange(n)) for _ in range(sample)
             ]
-        if self.is_monomial:
-            return self._check_cocycle(triples)
         for i, j, k in triples:
             left = self.mul(self.table[(i, j)], self.basis_vec(k))
             right = self.mul(self.basis_vec(i), self.table[(j, k)])
@@ -218,13 +242,18 @@ class FiniteDimAlgebra:
                 return False, (i, j, k)
         return True, None
 
-    def _check_cocycle(self, triples):
+    def _check_cocycle(self):
         """Associativity of a monomial table: c(i,j) c(ij,k) == c(j,k) c(i,jk).
 
         With e_i e_j = c(i,j) e_ij, each side of (e_i e_j) e_k == e_i (e_j e_k)
-        is a target and a product of two coefficients, or zero.  Coefficients
-        are interned by exact value, so equal ids mean equal elements, and
-        each distinct pair of ids is multiplied once.
+        is a target and a product of two coefficients.  Coefficients are
+        interned by exact value, so equal ids mean equal elements, and
+        each pair of ids is multiplied once, into the table ``P``: m^2
+        products for m distinct coefficients, few in a quotient.  A zero
+        product has target n (one past the basis) and the id of zero, so
+        both sides of a zero triple read (n, id of zero).  For each (i, j)
+        the two sides are compared as whole rows over k; a differing row
+        gives its first k.
         """
         n = self.dim
         ids, vals = {}, []
@@ -236,31 +265,28 @@ class FiniteDimAlgebra:
                 vals.append(c)
             return got
 
-        tgt = [[None] * n for _ in range(n)]
-        cid = [[None] * n for _ in range(n)]
+        zero = intern(self.field.zero())
+        tgt = [[n] * (n + 1) for _ in range(n + 1)]
+        cid = [[zero] * (n + 1) for _ in range(n + 1)]
         for (i, j), targets in self.table.items():
             for k, c in targets.items():
                 tgt[i][j] = k
                 cid[i][j] = intern(c)
-        products = {}
-
-        def side(x, a, k):
-            """(target, product id) of c_x e_a e_k, or None when it is zero."""
-            t = tgt[a][k]
-            if t is None:
-                return None
-            y = cid[a][k]
-            p = products.get((x, y))
-            if p is None:
-                p = products[(x, y)] = intern(vals[x] * vals[y])
-            return t, p
-
-        for i, j, k in triples:
-            a, b = tgt[i][j], tgt[j][k]
-            left = None if a is None else side(cid[i][j], a, k)
-            right = None if b is None else side(cid[j][k], i, b)
-            if left != right:
-                return False, (i, j, k)
+        m = len(vals)
+        P = [[intern(vals[x] * vals[y]) for y in range(m)] for x in range(m)]
+        for i in range(n):
+            ti, ci = tgt[i], cid[i]
+            for j in range(n):
+                a, Pij = ti[j], P[ci[j]]
+                tj, cj = tgt[j], cid[j]
+                left_t, left_p = tgt[a], [Pij[y] for y in cid[a]]
+                right_t = [ti[b] for b in tj]
+                right_p = [P[y][ci[b]] for b, y in zip(tj, cj)]
+                if left_t != right_t or left_p != right_p:
+                    k = next(
+                        k for k in range(n) if (left_t[k], left_p[k]) != (right_t[k], right_p[k])
+                    )
+                    return False, (i, j, k)
         return True, None
 
     def center_dim(self):
@@ -369,6 +395,12 @@ def rational_form(action, character, algebra=None):
     the quotient.  The embedded vectors are verified L-linearly
     independent, which is exactly the statement that extension of
     scalars recovers the quotient over L.
+
+    The rational table is not checked triple by triple: the embedding
+    phi is injective (the L-rank certificate), reproduces the unit and
+    every product phi(e_i) phi(e_j) exactly (``coords_of``), and lands
+    in the L-form, whose associativity its construction checked on every
+    triple.  So phi((e_i e_j) e_k) == phi(e_i (e_j e_k)) for every triple.
     """
     Q = action.qmatrix
     if algebra is None:
@@ -393,34 +425,36 @@ def rational_form(action, character, algebra=None):
     embedded = [{index[lab]: c for lab, c in v.items()} for v in vecs]
 
     def flat(vec):
-        out = [_ZERO] * (N * d)
-        for p, c in vec.items():
-            out[p * d : (p + 1) * d] = c.coeffs
-        return out
+        """The nonzero rational entries of vec over the power basis, by position."""
+        return {
+            p * d + t: Fraction(x, c.den) for p, c in vec.items() for t, x in enumerate(c.num) if x
+        }
 
     # the flattened basis is in RREF, so a vector's coordinates in it are
     # its entries at the pivot columns whenever it lies in the span
-    # each basis row is kept as its nonzero (position, value) pairs, pivot first
-    B = [[(p, val) for p, val in enumerate(flat(v)) if val] for v in embedded]
-    pivots = [row[0][0] for row in B]
+    B = [flat(v) for v in embedded]
+    basis_at = {min(row): b for b, row in enumerate(B)}
 
     def coords_of(vec):
         w = flat(vec)
-        c = {b: w[p] for b, p in enumerate(pivots) if w[p]}
+        c = sorted((basis_at[p], x) for p, x in w.items() if p in basis_at)
         # exact reconstruction check
-        recon = [_ZERO] * (N * d)
-        for b, cb in c.items():
-            for p, val in B[b]:
-                recon[p] += cb * val
-        if recon != w:
+        recon = {}
+        for b, cb in c:
+            for p, val in B[b].items():
+                s = recon.get(p)
+                recon[p] = cb * val if s is None else s + cb * val
+        if {p: x for p, x in recon.items() if x} != w:
             raise InconsistentCharacter("product left the rational form")
-        return {b: rationals.from_rational(cb) for b, cb in c.items()}
+        return {b: rationals.from_rational(cb) for b, cb in c}
 
     rationals = NumberField.rationals()
     table = {
         (i, j): coords_of(algebra.mul(embedded[i], embedded[j])) for i in range(N) for j in range(N)
     }
-    rational = FiniteDimAlgebra(rationals, tuple(range(N)), table, coords_of(algebra.unit))
+    rational = FiniteDimAlgebra._transported(
+        rationals, tuple(range(N)), table, coords_of(algebra.unit)
+    )
     return rational, vecs
 
 

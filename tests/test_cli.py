@@ -128,20 +128,32 @@ def test_parse_error_exit_code(tmp_path, capsys):
         assert f"parse error: {path}:" in capsys.readouterr().err, (argv, doc)
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["validate", "--degree-bound", "-1"],
-        ["invariants", "--degree-bound", "-1"],
-        ["validate", "--samples", "0"],
-    ],
-)
-def test_out_of_range_flag_exits_2(argv, capsys):
+# (argv, the flag its error names); the ids keep the names of the first rows
+BAD_FLAGS = [
     # a negative bound sweeps no monomial and passes vacuously; argparse rejects it
-    with pytest.raises(SystemExit) as err:
-        main(argv + [case("case2_sqrt5.json")])
-    assert err.value.code == 2
-    assert "must be at least" in capsys.readouterr().err
+    (["validate", "--degree-bound", "-1", case("case2_sqrt5.json")], "--degree-bound"),
+    (["invariants", "--degree-bound", "-1", case("case2_sqrt5.json")], "--degree-bound"),
+    (["validate", "--samples", "0", case("case2_sqrt5.json")], "--samples"),
+    # no field given
+    (["witness", "--case", "2", "--q", "0,1"], "--l"),
+    # 4 is not squarefree
+    (["catalog", "--case", "2", "--D", "4", "--q", "9,4"], "--D"),
+    # three coefficients in a degree-2 field
+    (["witness", "--case", "2", "--l", "3", "--q", "0,1,5"], "--q"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, flag", BAD_FLAGS, ids=[f"argv{i}" for i in range(len(BAD_FLAGS))]
+)
+def test_out_of_range_flag_exits_2(argv, flag, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as err:  # argparse rejects the value itself
+        code = err.code
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: must be at least" in err or f"parse error: {flag}:" in err, err
 
 
 def test_missing_file_exit_code(capsys):

@@ -53,6 +53,21 @@ def test_no_unused_imports_in_library():
     assert not found, found
 
 
+def test_no_library_call_samples_associativity():
+    # every associativity certificate the library runs covers every triple
+    found = []
+    for name, tree in library_modules():
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "check_associativity"
+                and (node.args or any(kw.arg in ("sample", None) for kw in node.keywords))
+            ):
+                found.append(f"{name}:{node.lineno}")
+    assert not found, found
+
+
 def test_failed_certificate_raises_verification_failed():
     # e1 e1 = e2 and e2 e1 = e1 but e1 e2 = 0: (e1 e1) e1 != e1 (e1 e1)
     field = NumberField.rationals()

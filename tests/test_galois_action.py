@@ -27,6 +27,11 @@ def sqrt5():
 
 
 @pytest.fixture
+def zeta3():
+    return NumberField.cyclotomic(3)
+
+
+@pytest.fixture
 def unit5(sqrt5):
     return 9 + 4 * sqrt5.gen()
 
@@ -132,6 +137,23 @@ def test_permutation_eq9(sqrt5, unit5):
         build_permutation_action(
             q_plane(sqrt5, sqrt5.from_rational(2)), sqrt5.galois, {0: (0, 1), 1: (1, 0)}
         )
+
+
+def test_permutation_incompatibility_witness(zeta3):
+    # the witness is the first (sigma, i, j) with q[p(i)][p(j)] != sigma(q[i][j])
+    z = zeta3.gen()
+    Q = QMatrix(zeta3, [[1, z, z], [z * z, 1, z], [z * z, z * z, 1]])
+    perms = {0: (0, 1, 2), 1: (1, 0, 2)}
+    want = next(
+        (idx, i, j)
+        for idx, p in perms.items()
+        for i in range(3)
+        for j in range(3)
+        if Q.entries[p[i]][p[j]] != zeta3.galois.elements[idx](Q.entries[i][j])
+    )
+    with pytest.raises(CompatibilityFailure) as err:
+        build_permutation_action(Q, zeta3.galois, perms)
+    assert err.value.witness == want == (1, 0, 2)
 
 
 def test_semilinearity_and_multiplicativity(sqrt5, unit5):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -111,19 +112,34 @@ def test_center_dim_general_path_matches_monomial(zeta3):
     assert forced.center_dim() == alg.center_dim() == 1
 
 
-def test_monomial_exhaustive_bound_is_125(monkeypatch):
-    samples = []
+def test_construction_checks_every_triple(monkeypatch):
+    # no construction samples, at any dimension and for any kind of table;
+    # dims 126 and 16 lie above the old monomial (125) and generic (12) bounds
+    calls = []
     check = FiniteDimAlgebra.check_associativity
 
     def spy(self, sample=None, seed=0):
-        samples.append(sample)
+        calls.append((self.dim, self.is_monomial, sample))
         return check(self, sample, seed)
 
     monkeypatch.setattr(FiniteDimAlgebra, "check_associativity", spy)
-    rationals = NumberField.rationals()
-    assert commutative_cyclic(rationals, 125, 2).dim == 125
-    assert commutative_cyclic(rationals, 126, 2).dim == 126
-    assert samples == [None, 200]
+    assert commutative_cyclic(NumberField.rationals(), 126, 2).dim == 126
+    action, char = _swap_rung(NumberField.cyclotomic(4), [[0, 1], [-1, 0]], [2, 2])
+    alg_k, _ = rational_form(action, char)
+    # the L-form is checked at construction; the k-form is certified by transport
+    assert calls == [(126, True, None), (16, True, None)]
+    assert not alg_k.is_monomial
+    assert FiniteDimAlgebra(alg_k.field, alg_k.labels, alg_k.table, alg_k.unit).dim == 16
+    assert calls[2:] == [(16, False, None)]
+
+
+def _swap_rung(field, S, values):
+    """An order-2 swap/sign action on the l-center of a root-of-unity matrix, and a character."""
+    l = field.param
+    Q = QMatrix.from_root_of_unity(field, l, field.gen(), S)
+    blocks = [{"swap": [0, 1]}] + [{"sign": -1}] * (len(S) - 2)
+    action = build_order2_action(Q, field.galois, blocks)
+    return action, CentralCharacter.for_l_center(Q, values)
 
 
 def _random_quotient(field, l, rng):
@@ -157,6 +173,29 @@ def _corruptions(alg, rng):
     return out
 
 
+def _graded_line(field, m):
+    """L[x]/(x^m) with e_i e_j = C(i+j, i) e_(i+j): every row past e_0 has zero products."""
+    table = {
+        (i, j): {i + j: field.from_rational(comb(i + j, i))} if i + j < m else {}
+        for i in range(m)
+        for j in range(m)
+    }
+    return FiniteDimAlgebra(field, tuple(range(m)), table, {0: field.one()})
+
+
+def _zero_corruptions(alg, rng):
+    """Copies of a table with a product zeroed, or a zero product made nonzero, inside a row."""
+    n = alg.dim
+    out = []
+    for want_zero in (False, True):
+        pairs = [(i, j) for (i, j), t in sorted(alg.table.items()) if i and j and bool(t) != want_zero]
+        i, j = rng.choice(pairs)
+        table = dict(alg.table)
+        table[(i, j)] = {(i + j) % n: alg.field.gen()} if want_zero else {}
+        out.append(table)
+    return out
+
+
 def test_cocycle_kernel_matches_generic_check():
     # the monomial kernel against check_associativity through mul, with
     # the same triples and the same first failing triple
@@ -169,6 +208,10 @@ def test_cocycle_kernel_matches_generic_check():
             tables.extend((alg, t) for t in _corruptions(alg, rng))
         nil = truncated_line(field)
         tables.append((nil, nil.table))
+        for m in (4, 6):
+            line = _graded_line(field, m)
+            tables.append((line, line.table))
+            tables.extend((line, t) for t in _zero_corruptions(line, rng))
     failures = 0
     for alg, table in tables:
         kernel = FiniteDimAlgebra(alg.field, alg.labels, alg.table, alg.unit)
@@ -179,11 +222,8 @@ def test_cocycle_kernel_matches_generic_check():
         want = generic.check_associativity()
         assert kernel.check_associativity() == want, alg.labels
         failures += not want[0]
-        for s in range(3):
-            got = kernel.check_associativity(sample=200, seed=s)
-            assert got == generic.check_associativity(sample=200, seed=s)
     # every corrupted table is caught, and the valid ones pass
-    assert failures == 18
+    assert failures == 26
 
 
 def check_rational_form_embeds(action, char, alg_L, alg_k, embedding):
@@ -245,6 +285,30 @@ def test_rational_form_requires_equivariant_values(swap3):
     char = l_center_char(swap3, [2, 3])
     with pytest.raises(InconsistentCharacter):
         rational_form(swap3, char)
+
+
+def test_rational_form_rejects_products_outside_its_span(swap3):
+    # the fixed points of the [2, 2] character, multiplied in the [2, 3]
+    # quotient, leave their rational span: the reconstruction in
+    # coords_of, which certifies the k-form by transport, must catch it
+    foreign = specialize(swap3, l_center_char(swap3, [2, 3]))
+    with pytest.raises(InconsistentCharacter):
+        rational_form(swap3, l_center_char(swap3, [2, 2]), foreign)
+
+
+@pytest.mark.parametrize(
+    "S, values",
+    [([[0, 1], [-1, 0]], [2, 2]), ([[0, 1, 2], [-1, 0, 2], [-2, -2, 0]], [2, 2, -1])],
+    ids=["dim9", "dim27"],
+)
+def test_transported_k_form_passes_generic_check(zeta3, S, values):
+    # the generic check through mul, on every triple, as an oracle for
+    # the associativity that rational_form transports from the L-form
+    action, char = _swap_rung(zeta3, S, values)
+    alg_k, _ = rational_form(action, char)
+    assert alg_k.dim == 3 ** len(S)
+    assert not alg_k.is_monomial
+    assert alg_k.check_associativity() == (True, None)
 
 
 def test_rational_form_requires_rational_values(swap3, zeta3):
