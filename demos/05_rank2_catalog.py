@@ -19,7 +19,7 @@ corpus = [
 ]
 
 for title, case, D, q in corpus:
-    rep = catalog_case(case, D, q)
+    rep = catalog_case(case, NumberField.quadratic(D), q)
     print(f"--- case {case}: {title}")
     print(rep.render_text())
     print()

@@ -233,7 +233,7 @@ def _q_flag(text, field):
 
 def cmd_catalog(args):
     field = _field_flag("--D", NumberField.quadratic, args.D)
-    return catalog_case(args.case, args.D, _q_flag(args.q, field))
+    return catalog_case(args.case, field, _q_flag(args.q, field))
 
 
 def cmd_witness(args):

@@ -212,7 +212,7 @@ def criterion_catalog(seed=0):
         (4, 5, [-1]),
     ]
     for case, D, q in corpus:
-        rep = catalog_case(case, D, q)
+        rep = catalog_case(case, NumberField.quadratic(D), q)
         if not rep.ok:
             return False, {"case": case, "D": D, "failed": [c.name for c in rep.failures()]}
     return True, {"cases": len(corpus)}

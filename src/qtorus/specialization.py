@@ -16,7 +16,6 @@ defining relations, and the order-2 crossed-product witnesses.
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 from itertools import product
 from math import gcd
@@ -218,24 +217,15 @@ class FiniteDimAlgebra:
         scaled = {k: c * w for k, w in self.unit.items()}
         return c if scaled == vec else None
 
-    def check_associativity(self, sample=None, seed=0):
+    def check_associativity(self):
         """(True, None), or (False, the first triple (i, j, k) that fails).
 
-        Checks every triple in ``product(range(n), repeat=3)`` order; a
-        monomial table through ``_check_cocycle``.  With ``sample``, only
-        that many triples drawn with ``seed`` are checked, through ``mul``.
+        Checks every triple in ``product(range(n), repeat=3)`` order: a
+        monomial table through ``_check_cocycle``, any other through ``mul``.
         """
-        n = self.dim
-        if sample is None:
-            if self.is_monomial:
-                return self._check_cocycle()
-            triples = product(range(n), repeat=3)
-        else:
-            rng = random.Random(seed)
-            triples = [
-                (rng.randrange(n), rng.randrange(n), rng.randrange(n)) for _ in range(sample)
-            ]
-        for i, j, k in triples:
+        if self.is_monomial:
+            return self._check_cocycle()
+        for i, j, k in product(range(self.dim), repeat=3):
             left = self.mul(self.table[(i, j)], self.basis_vec(k))
             right = self.mul(self.basis_vec(i), self.table[(j, k)])
             if left != right:
@@ -601,8 +591,10 @@ def _q_plane(field, q):
     return QMatrix(field, [[1, q], [q.inverse(), 1]])
 
 
-def catalog_case(case, D, q):
+def catalog_case(case, field, q):
     """Verify the generator presentation of one of the four rank-2 cases.
+
+    ``field`` is a quadratic field Q(sqrt(D)) (``NumberField.quadratic``).
 
     Case selection fixes the Galois module: 1 trivial, 2 = diag(1, -1),
     3 = -identity, 4 = swap.  Preconditions: q rational in cases 1 and 3,
@@ -614,7 +606,9 @@ def catalog_case(case, D, q):
     """
     if case not in (1, 2, 3, 4):
         raise PreconditionFailure(f"unknown case {case}")
-    field = NumberField.quadratic(D)
+    if field.kind != "quadratic":
+        raise PreconditionFailure("the catalog needs a quadratic field")
+    D = field.param
     alpha = field.gen()
     q = field.element(q)
     if not q:

@@ -54,7 +54,8 @@ def test_no_unused_imports_in_library():
 
 
 def test_no_library_call_samples_associativity():
-    # every associativity certificate the library runs covers every triple
+    # every associativity certificate the library runs covers every triple:
+    # check_associativity takes no arguments, and no call may pass a sample size
     found = []
     for name, tree in library_modules():
         for node in ast.walk(tree):

@@ -113,24 +113,25 @@ def test_center_dim_general_path_matches_monomial(zeta3):
 
 
 def test_construction_checks_every_triple(monkeypatch):
-    # no construction samples, at any dimension and for any kind of table;
-    # dims 126 and 16 lie above the old monomial (125) and generic (12) bounds
+    # one exhaustive check per constructed table, at any dimension and for any
+    # kind of table; dims 126 and 16 lie above the old monomial (125) and
+    # generic (12) bounds, under which larger tables were checked on 200 triples
     calls = []
     check = FiniteDimAlgebra.check_associativity
 
-    def spy(self, sample=None, seed=0):
-        calls.append((self.dim, self.is_monomial, sample))
-        return check(self, sample, seed)
+    def spy(self, *args, **kwargs):
+        calls.append((self.dim, self.is_monomial, args, kwargs))
+        return check(self, *args, **kwargs)
 
     monkeypatch.setattr(FiniteDimAlgebra, "check_associativity", spy)
     assert commutative_cyclic(NumberField.rationals(), 126, 2).dim == 126
     action, char = _swap_rung(NumberField.cyclotomic(4), [[0, 1], [-1, 0]], [2, 2])
     alg_k, _ = rational_form(action, char)
     # the L-form is checked at construction; the k-form is certified by transport
-    assert calls == [(126, True, None), (16, True, None)]
+    assert calls == [(126, True, (), {}), (16, True, (), {})]
     assert not alg_k.is_monomial
     assert FiniteDimAlgebra(alg_k.field, alg_k.labels, alg_k.table, alg_k.unit).dim == 16
-    assert calls[2:] == [(16, False, None)]
+    assert calls[2:] == [(16, False, (), {})]
 
 
 def _swap_rung(field, S, values):
@@ -382,41 +383,42 @@ def test_cyclic_decomposition_non_primitive_block():
 
 
 def test_catalog_case2():
-    sqrt5 = NumberField.quadratic(5)
-    rep = catalog_case(2, 5, [9, 4])
+    rep = catalog_case(2, NumberField.quadratic(5), [9, 4])
     assert rep.ok, rep.failures()
 
 
 def test_catalog_case3():
-    rep = catalog_case(3, 5, [7])
+    rep = catalog_case(3, NumberField.quadratic(5), [7])
     assert rep.ok, rep.failures()
 
 
 def test_catalog_case4_zeta3():
     # q = (-1 + alpha)/2 in Q(sqrt(-3)) is a primitive cube root of unity
-    rep = catalog_case(4, -3, [Fraction(-1, 2), Fraction(1, 2)])
+    rep = catalog_case(4, NumberField.quadratic(-3), [Fraction(-1, 2), Fraction(1, 2)])
     assert rep.ok, rep.failures()
 
 
 def test_catalog_case4_q_minus_one():
-    rep = catalog_case(4, 5, [-1])
+    rep = catalog_case(4, NumberField.quadratic(5), [-1])
     assert rep.ok, rep.failures()
 
 
 def test_catalog_case1():
-    rep = catalog_case(1, 5, [7])
+    rep = catalog_case(1, NumberField.quadratic(5), [7])
     assert rep.ok, rep.failures()
 
 
 def test_catalog_preconditions():
     with pytest.raises(PreconditionFailure):
-        catalog_case(2, 5, [2])  # norm 4 != 1
+        catalog_case(2, NumberField.quadratic(5), [2])  # norm 4 != 1
     with pytest.raises(PreconditionFailure):
-        catalog_case(3, 5, [9, 4])  # not rational
+        catalog_case(3, NumberField.quadratic(5), [9, 4])  # not rational
     with pytest.raises(PreconditionFailure):
-        catalog_case(1, 5, [9, 4])
+        catalog_case(1, NumberField.quadratic(5), [9, 4])
     with pytest.raises(PreconditionFailure):
-        catalog_case(7, 5, [1])
+        catalog_case(7, NumberField.quadratic(5), [1])
+    with pytest.raises(PreconditionFailure):
+        catalog_case(4, NumberField.cyclotomic(3), [0, 1])  # not a quadratic field
 
 
 def test_crossed_product_witness_case2(zeta3):
