@@ -237,12 +237,12 @@ def cmd_catalog(args):
 
 
 def cmd_witness(args):
+    if (args.D is None) == (args.l is None):
+        raise ProblemFormatError("give exactly one of --D and --l", "--l")
     if args.D is not None:
         field = _field_flag("--D", NumberField.quadratic, args.D)
-    elif args.l is not None:
-        field = _field_flag("--l", NumberField.cyclotomic, args.l)
     else:
-        raise ProblemFormatError("needed when --D is absent", "--l")
+        field = _field_flag("--l", NumberField.cyclotomic, args.l)
     return crossed_product_witness(args.case, field, _q_flag(args.q, field))
 
 
@@ -319,7 +319,7 @@ def build_parser():
     p = sub.add_parser("witness", help="order-2 crossed-product witness checks")
     p.add_argument("--case", type=int, required=True, choices=(1, 2, 4))
     p.add_argument("--D", type=int, help="quadratic field discriminant")
-    p.add_argument("--l", type=int, help="cyclotomic field index (used when --D absent)")
+    p.add_argument("--l", type=int, help="cyclotomic field index (instead of --D)")
     p.add_argument("--q", required=True)
     common(p, problem=False)
     p.set_defaults(func=cmd_witness)

@@ -8,8 +8,9 @@ commutation matrix.  A generator maps by
     sigma(x_i) = gamma_sigma(e_i) * x^(sigma e_i),
 
 and the action extends to every monomial factorwise (apply sigma to each
-x_i^(m_i) and normal-order), which is the unique multiplicative
-extension.  Construction verifies exactly, on the finite generating data:
+x_i^(m_i) and normal-order through ``QMatrix.power_product``), which is
+the unique multiplicative extension.  Construction verifies exactly, on
+the finite generating data:
 
   * compatibility Q(sigma m, sigma k) = sigma(Q(m, k)) on all basis
     pairs, which makes the map a well-defined algebra map; and
@@ -116,33 +117,12 @@ class SemilinearAction:
     def sigma(self, idx):
         return self.galois.elements[idx]
 
-    def gen_image(self, idx, i):
-        """(exponent, coefficient) of sigma(x_i)."""
-        return self.module.column(idx, i), self.cocycle.values[idx][i]
-
     def monomial_image(self, idx, m):
-        """(exponent, coefficient) of sigma(x^m), computed factorwise."""
-        q = self.qmatrix
-        exp = (0,) * self.n
-        coeff = q.field.one()
-        for i, e in enumerate(m):
-            if not e:
-                continue
-            v, gam = self.gen_image(idx, i)
-            if e < 0:
-                # (gam x^v)^-1 = gam^-1 c(v,v) x^(-v), then raise to |e|
-                gam = (gam * q.cocycle(v, v).inverse()).inverse()
-                v = tuple(-a for a in v)
-                e = -e
-            # (gam x^v)^e = gam^e c(v,v)^(e(e-1)/2) x^(ev)
-            part_coeff = gam ** e
-            half = e * (e - 1) // 2
-            if half:
-                part_coeff = part_coeff * q.cocycle(v, v) ** half
-            part_exp = tuple(e * a for a in v)
-            coeff = coeff * part_coeff * q.cocycle(exp, part_exp)
-            exp = tuple(a + b for a, b in zip(exp, part_exp))
-        return exp, coeff
+        """(exponent, coefficient) of sigma(x^m) = prod_i sigma(x_i)^(m_i), normal-ordered."""
+        gam = self.cocycle.values[idx]
+        return self.qmatrix.power_product(
+            (gam[i], self.module.column(idx, i), e) for i, e in enumerate(m)
+        )
 
     def gamma(self, idx, m):
         """gamma_sigma(m), the unit with sigma(x^m) = gamma * x^(sigma m)."""

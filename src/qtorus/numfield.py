@@ -539,14 +539,14 @@ class FieldAutomorphism:
 
 
 class GaloisGroup:
-    """All automorphisms of L/Q with composition and inverse tables.
+    """All automorphisms of L/Q with their composition table.
 
     Construction fails unless the supplied automorphisms are distinct,
     closed under composition and as many as the field degree, so that
     the extension is certified Galois.
     """
 
-    __slots__ = ("field", "elements", "compose_table", "inverse_table")
+    __slots__ = ("field", "elements", "compose_table")
 
     def __init__(self, field, automorphisms):
         elements = list(automorphisms)
@@ -574,17 +574,11 @@ class GaloisGroup:
                     raise ValueError("automorphisms are not closed under composition")
                 row.append(k)
             table.append(tuple(row))
+        if any(0 not in row for row in table):
+            raise ValueError("automorphism without inverse")
         self.field = field
         self.elements = tuple(elements)
         self.compose_table = tuple(table)
-        inv = [None] * len(elements)
-        for i, row in enumerate(table):
-            for j, k in enumerate(row):
-                if k == 0:
-                    inv[i] = j
-        if any(v is None for v in inv):
-            raise ValueError("automorphism without inverse")
-        self.inverse_table = tuple(inv)
 
     def __len__(self):
         return len(self.elements)
@@ -599,9 +593,6 @@ class GaloisGroup:
     def compose_idx(self, i, j):
         """Index of elements[i] composed after elements[j]."""
         return self.compose_table[i][j]
-
-    def inverse_idx(self, i):
-        return self.inverse_table[i]
 
 
 # ---------------------------------------------------------------------------

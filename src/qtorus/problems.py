@@ -126,7 +126,10 @@ def parse_qmatrix(fld, doc, path="$.q"):
             if len(S[0]) != len(S):
                 raise ProblemFormatError("expected a square matrix", s_path)
             if "epsilon" in sub:
-                eps = parse_element(fld, sub["epsilon"], f"{path}.root_of_unity.epsilon")
+                eps_path = f"{path}.root_of_unity.epsilon"
+                eps = parse_element(fld, sub["epsilon"], eps_path)
+                if not eps:
+                    raise ProblemFormatError("epsilon must be nonzero", eps_path)
             elif fld.kind == "cyclotomic":
                 eps = fld.gen()
             else:

@@ -85,13 +85,12 @@ class CentralCharacter:
         if coords is None:
             raise ValueError(f"{lam} is not in the character's lattice")
         q = self.qmatrix
-        prod_mono = TwistedLaurentElement.one(q)
-        val = q.field.one()
-        for c, row, v in zip(coords, self.lattice.basis, self.values):
+        one = q.field.one()
+        exp, unit = q.power_product((one, row, c) for row, c in zip(self.lattice.basis, coords))
+        val = one
+        for c, v in zip(coords, self.values):
             if c:
-                prod_mono = prod_mono * TwistedLaurentElement.monomial(q, row) ** c
                 val = val * v ** c
-        exp, unit = prod_mono.as_monomial()
         if exp != lam:
             raise VerificationFailed(
                 "basis monomial product left the lattice vector", witness={"lam": lam, "exp": exp}

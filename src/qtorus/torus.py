@@ -13,14 +13,18 @@ identity, and c(m, k) / c(k, m) = Q(m, k) with
 
     Q(m, k) = prod_{i,j} q[i][j]^(m_i * k_j),
 
-so monomials commute exactly by x^m x^k = Q(m, k) x^k x^m.
+so monomials commute exactly by x^m x^k = Q(m, k) x^k x^m.  Since c is
+bimultiplicative, powers of a monomial follow one rule for every integer e:
+
+    (g x^v)^e = g^e * c(v, v)^(e(e-1)/2) * x^(ev),
+
+and ``QMatrix.power_product`` normal-orders any product of such powers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import OrderUndeclared
 from .numfield import FieldElement, unit_order
 
 
@@ -127,12 +131,23 @@ class QMatrix:
                     out = out * self.qpow(i, j, mi * k[j])
         return out
 
-    def require_root_of_unity(self):
-        if self.root_of_unity is None:
-            raise OrderUndeclared(
-                "operation needs the root-of-unity form (l, epsilon, S) of the matrix"
-            )
-        return self.root_of_unity
+    def power_product(self, factors):
+        """(exponent, coefficient) of the ordered product of (g x^v)^e over (g, v, e)."""
+        one = self.field.one()
+        exp = (0,) * self.n
+        coeff = one
+        for g, v, e in factors:
+            if not e:
+                continue
+            if g != one:
+                coeff = coeff * g ** e
+            half = e * (e - 1) // 2
+            if half:
+                coeff = coeff * self.cocycle(v, v) ** half
+            part = tuple(e * a for a in v)
+            coeff = coeff * self.cocycle(exp, part)
+            exp = tuple(a + b for a, b in zip(exp, part))
+        return exp, coeff
 
     def __repr__(self):
         return f"QMatrix(n={self.n} over {self.field!r})"
@@ -271,10 +286,7 @@ class TwistedLaurentElement:
     def inverse(self):
         """Two-sided inverse; only monomials are invertible."""
         m, c = self.as_monomial()
-        minus = tuple(-e for e in m)
-        # x^m * x^(-m) = c(m, -m), so (c x^m)^-1 = (c * c(m,-m))^-1 x^(-m)
-        unit = c * self.q.cocycle(m, minus)
-        return TwistedLaurentElement.monomial(self.q, minus, unit.inverse())
+        return TwistedLaurentElement.monomial(self.q, *self.q.power_product([(c, m, -1)]))
 
     def __pow__(self, e):
         if not isinstance(e, int):

@@ -1,9 +1,15 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
+import re
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qtorus.cli import main
 from workloads import corpus_ops, load_goldens, op_id
@@ -89,6 +95,8 @@ MALFORMED = [
     (["validate"], _l3("action.matrices", [[[1]], [[1]]]), "$.action.matrices[0]"),
     (["center"], _l3("action.cocycle", [["1"], ["1"]]), "$.action.cocycle[0]"),
     (["validate"], _l3("q.root_of_unity.s_matrix", [[0], [1]]), "$.q.root_of_unity.s_matrix"),
+    # a zero epsilon has no inverse, so epsilon^-1 in q[1][0] cannot be formed
+    (["validate"], _l3("q.root_of_unity.epsilon", ["0"]), "$.q.root_of_unity.epsilon"),
     (
         ["center"],
         {
@@ -140,6 +148,8 @@ BAD_FLAGS = [
     (["catalog", "--case", "2", "--D", "4", "--q", "9,4"], "--D"),
     # three coefficients in a degree-2 field
     (["witness", "--case", "2", "--l", "3", "--q", "0,1,5"], "--q"),
+    # two fields given
+    (["witness", "--case", "2", "--D", "5", "--l", "3", "--q", "0,1"], "--l"),
 ]
 
 
@@ -310,3 +320,59 @@ def test_invariants_cli(tmp_path):
     )
     doc = json.loads(out_path.read_text())
     assert any(c["name"] == "completeness" and c["status"] == "pass" for c in doc["checks"])
+
+
+# -- fuzz: one leaf of a shipped problem document replaced -----------------
+
+FUZZ_POOL = [None, True, 0, -1, 2, 1.5, "", "x", "1/0", "0", "-3", [], {}, [0], [[]]]
+FUZZ_COMMANDS = [["validate", "--degree-bound", "1", "--samples", "2"], ["center"], ["specialize"]]
+
+
+def _leaf_paths(doc, path=()):
+    if isinstance(doc, (dict, list)):
+        for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+            yield from _leaf_paths(value, path + (key,))
+    else:
+        yield path
+
+
+def _problem_documents():
+    docs = {}
+    for name in sorted(os.listdir(CASES)):
+        with open(case(name)) as fh:
+            doc = json.load(fh)
+        if "field" in doc:
+            docs[name] = doc
+    return docs
+
+
+FUZZ_DOCS = _problem_documents()
+# (document name, path of one leaf in it), over every leaf of every document
+FUZZ_SITES = [(name, path) for name, doc in FUZZ_DOCS.items() for path in _leaf_paths(doc)]
+
+
+@settings(max_examples=1500, derandomize=True, deadline=None)
+@given(
+    site=st.sampled_from(FUZZ_SITES),
+    value=st.sampled_from(FUZZ_POOL),
+    command=st.sampled_from(FUZZ_COMMANDS),
+)
+# always run: q[1][0] = epsilon^-1, and a zero epsilon has no inverse
+@example(site=("case4_qminus1.json", ("q", "root_of_unity", "epsilon", 0)), value="0", command=["center"])
+def test_fuzzed_document_exits_cleanly(site, value, command):
+    # any document one value away from a shipped case passes, fails a check or
+    # is a parse error naming a JSON path; it never raises out of main
+    name, path = site
+    doc = json.loads(json.dumps(FUZZ_DOCS[name]))
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        problem = _write(Path(tmp) / "problem.json", doc)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(command + [str(problem)])
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert re.match(r"parse error: (\$|--)", err.getvalue()), err.getvalue()

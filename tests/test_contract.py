@@ -2,6 +2,7 @@
 
 import ast
 import os
+import re
 
 import pytest
 
@@ -11,6 +12,7 @@ from qtorus.numfield import NumberField
 from qtorus.specialization import FiniteDimAlgebra
 
 PACKAGE = os.path.dirname(os.path.abspath(qtorus.__file__))
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def library_modules():
@@ -50,6 +52,47 @@ def test_no_unused_imports_in_library():
             ):
                 used.update(ast.literal_eval(node.value))
         found += [f"{name}:{line} {imp}" for imp, line in imported.items() if imp not in used]
+    assert not found, found
+
+
+def python_files(*dirs):
+    """(path, AST) of every Python file under the given repository directories."""
+    for top in dirs:
+        for root, _, files in os.walk(os.path.join(REPO, top)):
+            for name in sorted(files):
+                if name.endswith(".py"):
+                    path = os.path.join(root, name)
+                    with open(path, encoding="utf-8") as fh:
+                        yield path, ast.parse(fh.read(), filename=path)
+
+
+DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
+
+
+def test_every_library_definition_is_referenced():
+    # a function, method or class that nothing names is dead code; a reference is
+    # a name, an attribute, an import alias or a dotted string (perfbench names
+    # the functions it wraps as strings such as "QMatrix.cocycle")
+    referenced = set()
+    for _, tree in python_files("src", "tests", "demos", "perfbench"):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.alias):
+                referenced.update(node.name.split("."))
+                referenced.add(node.asname)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                if DOTTED.fullmatch(node.value):
+                    referenced.update(node.value.split("."))
+    found = []
+    for name, tree in library_modules():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                dunder = node.name.startswith("__") and node.name.endswith("__")
+                if not dunder and node.name not in referenced:
+                    found.append(f"{name}:{node.lineno} {node.name}")
     assert not found, found
 
 

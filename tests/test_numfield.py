@@ -330,3 +330,66 @@ def test_reciprocal_of_one_makes_no_product_by_one(monkeypatch):
                 assert one / a == inv
             assert len(calls) == 2 * n_inverse
             assert Fraction(2, 3) / a == inv * Fraction(2, 3)
+
+
+def _sympy_fields(rng):
+    """Q(sqrt D) for three random squarefree D, and Q(zeta_l) for l in 3, 4, 5, 7, 8."""
+    sympy = pytest.importorskip("sympy")
+    squarefree = [
+        D for D in range(-30, 31) if D not in (0, 1) and max(sympy.factorint(abs(D)).values(), default=1) == 1
+    ]
+    fields = [NumberField.quadratic(D) for D in rng.sample(squarefree, 3)]
+    return fields + [NumberField.cyclotomic(l) for l in (3, 4, 5, 7, 8)]
+
+
+def _sympy_poly(coeffs):
+    """The element with these power-basis coefficients as a sympy polynomial in t over QQ."""
+    sympy = pytest.importorskip("sympy")
+    QQ = sympy.QQ
+    return sympy.Poly(
+        [QQ(c.numerator, c.denominator) for c in reversed(coeffs)], sympy.Symbol("t"), domain=QQ
+    )
+
+
+def test_normal_basis_matches_sympy_oracle():
+    # the d conjugates of the returned element, computed in sympy, have rank d over QQ
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(11)
+    for field in _sympy_fields(rng):
+        f = _sympy_poly(field.min_poly)
+        images = [_sympy_poly(sigma.t_image.coeffs) for sigma in field.galois]
+        assert all(f.compose(img).rem(f).is_zero for img in images)
+        for seed, attempts in ((rng.randrange(1000), 500), (rng.randrange(1000), 3)):
+            a = _sympy_poly(find_normal_basis(field, seed=seed, attempts=attempts).coeffs)
+            rows = []
+            for img in images:
+                conj = a.compose(img).rem(f).all_coeffs()[::-1]
+                rows.append(conj + [0] * (field.degree - len(conj)))
+            assert sympy.Matrix(rows).rank() == field.degree, (field, seed, attempts)
+
+
+def _sympy_order(a, bound):
+    """The least e <= bound with a^e = 1 mod f, by sympy polynomial remainders, else None."""
+    f, pa = _sympy_poly(a.field.min_poly), _sympy_poly(a.coeffs)
+    power = pa
+    for e in range(1, bound + 1):
+        if power.is_one:
+            return e
+        power = (power * pa).rem(f)
+    return None
+
+
+def test_unit_order_matches_sympy_oracle():
+    rng = random.Random(12)
+    for field in _sympy_fields(rng):
+        t = field.gen()
+        candidates = [field.one(), -field.one(), t, -t, t ** 2, -(t ** 3), 1 + t]
+        candidates += [rand_elt(field, rng, span=2) for _ in range(4)]
+        for a in candidates:
+            if a:
+                bound = rng.randint(1, 20)
+                assert unit_order(a, bound) == _sympy_order(a, bound), (field, a, bound)
+    # a unit of infinite order has none below any bound
+    unit = 9 + 4 * NumberField.quadratic(5).gen()
+    assert _sympy_order(unit, 200) is None
+    assert unit_order(unit, 200) is None

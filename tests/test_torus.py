@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from qtorus.galois_action import build_explicit_action
 from qtorus.numfield import NumberField
 from qtorus.torus import QMatrix, TwistedLaurentElement
 
@@ -125,6 +126,75 @@ def test_monomial_inverse(Qz, zeta3):
     assert TwistedLaurentElement.monomial(Qz, (1, 1), zeta3.one()).inverse() == inv
     with pytest.raises(ValueError):
         (m + TwistedLaurentElement.one(Qz)).inverse()
+
+
+def repeated_product(u, e):
+    """u^e for e >= 0 as e products through ``TwistedLaurentElement.__mul__``."""
+    out = TwistedLaurentElement.one(u.q)
+    for _ in range(e):
+        out = out * u
+    return out
+
+
+def check_power_product(Q, factors):
+    """Check every prefix P_k of power_product(factors) against element arithmetic.
+
+    With u_k = g_k x^(v_k): P_k = P_(k-1) u_k^e_k for e_k >= 0, and
+    P_k u_k^(-e_k) = P_(k-1) for e_k < 0, both sides built by repeated
+    products.  Monomials are units, so this pins every P_k exactly.
+    """
+    prev = TwistedLaurentElement.one(Q)
+    for k, (g, v, e) in enumerate(factors, 1):
+        cur = TwistedLaurentElement.monomial(Q, *Q.power_product(factors[:k]))
+        u = TwistedLaurentElement.monomial(Q, v, g)
+        if e >= 0:
+            assert cur == prev * repeated_product(u, e), (factors[:k], cur)
+        else:
+            assert cur * repeated_product(u, -e) == prev, (factors[:k], cur)
+        prev = cur
+    return prev
+
+
+def test_power_product_matches_element_arithmetic():
+    # (g x^v)^e = g^e c(v, v)^(e(e-1)/2) x^(ev) for every integer e, in any order
+    rng = random.Random(5)
+    sqrt5 = NumberField.quadratic(5)
+    unit = 9 + 4 * sqrt5.gen()
+    matrices = [rand_qmatrix(sqrt5, unit, rng, 3)]  # not a root of unity
+    for l in (3, 5):
+        field = NumberField.cyclotomic(l)
+        S = [[0] * 3 for _ in range(3)]
+        for i in range(3):
+            for j in range(i + 1, 3):
+                S[i][j] = rng.randint(1, l - 1)
+                S[j][i] = -S[i][j]
+        matrices.append(QMatrix.from_root_of_unity(field, l, field.gen(), S))
+    for Q in matrices:
+        field = Q.field
+        for _ in range(12):
+            factors = []
+            for _ in range(rng.randint(1, 4)):
+                g = field.one() if rng.random() < 0.3 else field.element(
+                    [rng.choice([-2, -1, 1, 2, 3]) for _ in range(field.degree)]
+                )
+                factors.append((g, rand_exp(rng, 3, span=2), rng.randint(-3, 3)))
+            check_power_product(Q, factors)
+        # one factor whose c(v, v) is not 1, at each exponent from -3 to 3
+        v = (1, 1, 0)
+        assert Q.cocycle(v, v) != 1
+        for e in range(-3, 4):
+            check_power_product(Q, [(field.one(), v, e)])
+    # sigma(x^m) for an explicit action with the non-rational gamma_sigma(e1) = 9 + 4 sqrt5:
+    # sigma e1 = (1, 1), whose c(v, v) = q21 is not 1, and sigma e2 = (0, -1)
+    Q = QMatrix(sqrt5, [[1, unit], [unit.inverse(), 1]])
+    one = sqrt5.one()
+    action = build_explicit_action(
+        Q, sqrt5.galois, [[[1, 0], [0, 1]], [[1, 0], [1, -1]]], [[one, one], [unit, one]]
+    )
+    for m in ((0, 0), (1, 0), (2, 1), (-1, 0), (-3, 2), (3, -2)):
+        factors = [(action.cocycle.values[1][i], action.module.column(1, i), e) for i, e in enumerate(m)]
+        image = check_power_product(Q, factors)
+        assert image == TwistedLaurentElement.monomial(Q, *action.monomial_image(1, m))
 
 
 def test_associativity_random():
