@@ -622,14 +622,18 @@ def norm_trace(a):
 
 
 def unit_order(a, bound):
-    """Smallest e <= bound with a^e == 1, or None."""
+    """Smallest e <= bound with a^e == 1, or None.
+
+    A root of unity of order k in a field of degree d has phi(k) <= d, and
+    phi(k) >= sqrt(k / 2), so k <= 2 d^2: no power past that is tried.
+    """
     if a.is_zero():
         raise ValueError("zero has no multiplicative order")
     if bound < 1:
         raise ValueError("bound must be at least 1")
     one = a.field.one()
     power = a
-    for e in range(1, bound + 1):
+    for e in range(1, min(bound, 2 * a.field.degree ** 2) + 1):
         if power == one:
             return e
         power = power * a

@@ -121,6 +121,8 @@ def parse_qmatrix(fld, doc, path="$.q"):
         if "root_of_unity" in doc:
             sub = doc["root_of_unity"]
             l = parse_int(sub["l"], f"{path}.root_of_unity.l")
+            if l < 1:
+                raise ProblemFormatError("must be at least 1", f"{path}.root_of_unity.l")
             s_path = f"{path}.root_of_unity.s_matrix"
             S = parse_int_matrix(sub["s_matrix"], s_path)
             if len(S[0]) != len(S):
@@ -153,6 +155,12 @@ def parse_qmatrix(fld, doc, path="$.q"):
                 orders = parse_int_matrix(orders, f"{path}.declared_orders")
                 if len(orders) != len(entries) or len(orders[0]) != len(entries):
                     raise ProblemFormatError("not the size of entries", f"{path}.declared_orders")
+                for i, row in enumerate(orders):
+                    for j, o in enumerate(row):
+                        if o < 1:
+                            raise ProblemFormatError(
+                                "must be at least 1", f"{path}.declared_orders[{i}][{j}]"
+                            )
             args = ("entries", entries, orders)
         else:
             raise ProblemFormatError("q needs 'entries' or 'root_of_unity'", path)

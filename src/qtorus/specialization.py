@@ -103,10 +103,12 @@ class CentralCharacter:
         """(r, u) with x^exp == u * x^r in the quotient, r the digit representative.
 
         Writing exp = r + lam with lam in the lattice, x^r x^lam = c(r, lam) x^exp
-        and x^lam specializes to chi(lam), so u = c(r, lam)^-1 * chi(lam).
+        and x^lam specializes to chi(lam), so u = c(r, lam)^-1 * chi(lam), where
+        c(r, lam)^-1 = c(-r, lam) is evaluated from negated exponents.
         """
         r, lam = self.lattice.reduce(exp)
-        return r, self.qmatrix.cocycle(r, lam).inverse() * self.value(lam)
+        q = self.qmatrix
+        return r, q.evaluate([-e for e in q.cocycle_exponents(r, lam)]) * self.value(lam)
 
     def is_equivariant(self, action):
         """Whether the value map commutes with the semilinear action."""
@@ -356,14 +358,17 @@ def specialize(action, character, which=None):
 
 
 def _quotient_algebra(Q, character):
+    """e_g e_h = c(g, h) c(r, lam)^-1 chi(lam) e_r, with g + h = r + lam: the two
+    normal-ordering constants are one exponent difference, evaluated once."""
     lat = character.lattice
     labels = [tuple(digits) for digits in product(*[range(r) for r in lat.digit_ranges()])]
     index = {lab: i for i, lab in enumerate(labels)}
     table = {}
     for i, g in enumerate(labels):
         for j, h in enumerate(labels):
-            r, u = character.reduce_monomial(tuple(a + b for a, b in zip(g, h)))
-            table[(i, j)] = {index[r]: Q.cocycle(g, h) * u}
+            r, lam = lat.reduce(tuple(a + b for a, b in zip(g, h)))
+            exps = [a - b for a, b in zip(Q.cocycle_exponents(g, h), Q.cocycle_exponents(r, lam))]
+            table[(i, j)] = {index[r]: Q.evaluate(exps) * character.value(lam)}
     unit = {index[(0,) * Q.n]: Q.field.one()}
     return FiniteDimAlgebra(Q.field, labels, table, unit)
 

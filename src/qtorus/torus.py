@@ -19,6 +19,13 @@ bimultiplicative, powers of a monomial follow one rule for every integer e:
     (g x^v)^e = g^e * c(v, v)^(e(e-1)/2) * x^(ev),
 
 and ``QMatrix.power_product`` normal-orders any product of such powers.
+
+Both c and Q are products of the q[i][j] with i > j only, since
+q[j][i] = q[i][j]^-1: c(m, k) has the exponent m_i k_j at (i, j), and
+Q(m, k) has m_i k_j - m_j k_i.  So ``QMatrix`` builds every such product
+as an integer exponent vector over those pairs (a whole ``power_product``
+adds into one vector) and evaluates it in the field once, in
+``QMatrix.evaluate``.
 """
 
 from __future__ import annotations
@@ -34,9 +41,18 @@ class QMatrix:
     ``root_of_unity`` is a triple (l, epsilon, S) asserting that epsilon
     has exact order l and q[i][j] = epsilon^S[i][j]; when present it also
     fixes the declared orders of all entries.
+
+    Every product of entries is held as an integer exponent vector indexed
+    by ``pairs``, the strictly lower pairs (i, j) with i > j, and turned
+    into a field element once, by ``evaluate``: ``cocycle``, ``bihom`` and
+    ``power_product`` only add and multiply integers before that call.
+    ``qpow`` reduces an exponent modulo the entry's declared order, which
+    construction has checked.
     """
 
-    __slots__ = ("field", "n", "entries", "declared_orders", "root_of_unity", "_pow_cache")
+    __slots__ = (
+        "field", "n", "entries", "declared_orders", "root_of_unity", "pairs", "_pow_cache"
+    )
 
     def __init__(self, field, entries, declared_orders=None, root_of_unity=None):
         n = len(entries)
@@ -81,6 +97,7 @@ class QMatrix:
                         raise ValueError(f"declared order of q[{i}][{j}] is wrong")
         self.declared_orders = declared_orders
         self.root_of_unity = root_of_unity
+        self.pairs = tuple((i, j) for i in range(1, n) for j in range(i))
         self._pow_cache = {}
 
     @classmethod
@@ -90,7 +107,9 @@ class QMatrix:
         return cls(field, entries, root_of_unity=(l, eps, S))
 
     def qpow(self, i, j, e):
-        """q[i][j]^e with caching; hot path of every product."""
+        """q[i][j]^e with caching, e reduced modulo the declared order of q[i][j]."""
+        if self.declared_orders is not None:
+            e %= self.declared_orders[i][j]
         key = (i, j, e)
         got = self._pow_cache.get(key)
         if got is None:
@@ -98,18 +117,28 @@ class QMatrix:
             self._pow_cache[key] = got
         return got
 
+    def evaluate(self, exps):
+        """prod_t q[i][j]^exps[t] over the strictly lower pairs (i, j) = self.pairs[t].
+
+        The one place where an exponent vector becomes a field element.
+        """
+        out = None
+        for (i, j), e in zip(self.pairs, exps):
+            if e:
+                p = self.qpow(i, j, e)
+                out = p if out is None else out * p
+        return self.field.one() if out is None else out
+
+    def cocycle_exponents(self, m, k):
+        """The exponent vector (m_i k_j) of c(m, k), indexed like ``pairs``."""
+        return [m[i] * k[j] for i, j in self.pairs]
+
     def bihom(self, m, k):
-        """Q(m, k): the pairing that controls commutation of x^m and x^k."""
-        out = self.field.one()
-        for i in range(self.n):
-            mi = m[i]
-            if not mi:
-                continue
-            for j in range(self.n):
-                if i == j or not k[j]:
-                    continue
-                out = out * self.qpow(i, j, mi * k[j])
-        return out
+        """Q(m, k): the pairing that controls commutation of x^m and x^k.
+
+        Since q[j][i] = q[i][j]^-1, its exponent at (i, j) is m_i k_j - m_j k_i.
+        """
+        return self.evaluate([m[i] * k[j] - m[j] * k[i] for i, j in self.pairs])
 
     def is_central_exponent(self, m):
         """Whether x^m is central, that is Q(m, e_j) == 1 for every generator x_j."""
@@ -121,20 +150,20 @@ class QMatrix:
 
     def cocycle(self, m, k):
         """c(m, k): the normal-ordering constant with x^m x^k = c(m,k) x^(m+k)."""
-        out = self.field.one()
-        for i in range(1, self.n):
-            mi = m[i]
-            if not mi:
-                continue
-            for j in range(i):
-                if k[j]:
-                    out = out * self.qpow(i, j, mi * k[j])
-        return out
+        return self.evaluate(self.cocycle_exponents(m, k))
 
     def power_product(self, factors):
-        """(exponent, coefficient) of the ordered product of (g x^v)^e over (g, v, e)."""
+        """(exponent, coefficient) of the ordered product of (g x^v)^e over (g, v, e).
+
+        Each factor contributes c(v, v)^half * c(exp, e v), with half = e(e-1)/2
+        and exp the exponent of the factors before it: the exponent
+        (half v_i + e exp_i) v_j at each pair (i, j).  These add up in one
+        integer vector, evaluated once at the end.
+        """
         one = self.field.one()
-        exp = (0,) * self.n
+        pairs = self.pairs
+        exp = [0] * self.n
+        total = [0] * len(pairs)
         coeff = one
         for g, v, e in factors:
             if not e:
@@ -142,12 +171,13 @@ class QMatrix:
             if g != one:
                 coeff = coeff * g ** e
             half = e * (e - 1) // 2
-            if half:
-                coeff = coeff * self.cocycle(v, v) ** half
-            part = tuple(e * a for a in v)
-            coeff = coeff * self.cocycle(exp, part)
-            exp = tuple(a + b for a, b in zip(exp, part))
-        return exp, coeff
+            for t, (i, j) in enumerate(pairs):
+                if v[j]:
+                    total[t] += (half * v[i] + e * exp[i]) * v[j]
+            for i, a in enumerate(v):
+                exp[i] += e * a
+        unit = self.evaluate(total)
+        return tuple(exp), unit if coeff is one else coeff * unit
 
     def __repr__(self):
         return f"QMatrix(n={self.n} over {self.field!r})"

@@ -5,6 +5,7 @@ import json
 import os
 import re
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -62,6 +63,15 @@ def _case2_entries(entries):
     return doc
 
 
+def _declared(orders):
+    """q = [[1, -1], [-1, 1]] over Q(sqrt 5) with the given declared orders."""
+    return {
+        "field": {"kind": "quadratic", "D": 5},
+        "q": {"entries": [["1", "-1"], ["-1", "1"]], "declared_orders": orders},
+        "action": {"kind": "trivial"},
+    }
+
+
 # (argv before the file, document or raw text or bytes, JSON path the
 # error must name); every entry exits 2, none may crash or silently
 # truncate a float
@@ -106,6 +116,11 @@ MALFORMED = [
         },
         "$.q.declared_orders",
     ),
+    # an order must be at least 1: it is an exponent modulus
+    (["validate"], _l3("q.root_of_unity.l", 0), "$.q.root_of_unity.l"),
+    (["center"], _l3("q.root_of_unity.l", -3), "$.q.root_of_unity.l"),
+    (["validate"], _declared([[1, 0], [0, 1]]), "$.q.declared_orders[0][1]"),
+    (["center"], _declared([[1, 2], [-2, 1]]), "$.q.declared_orders[1][0]"),
     (["validate"], _case2_entries([[["1"], ["-1"]]]), "$.q.entries[0]"),
     (["validate"], _case2_entries([[["1"], ["9", "4"]], [["9", "-4"]]]), "$.q.entries[1]"),
     (["validate"], _l3("options", {"degree_bound": -1}), "$.options.degree_bound"),
@@ -164,6 +179,33 @@ def test_out_of_range_flag_exits_2(argv, flag, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert f"argument {flag}: must be at least" in err or f"parse error: {flag}:" in err, err
+
+
+@pytest.mark.parametrize(
+    "q, message",
+    [
+        (
+            {"root_of_unity": {"l": 200000, "epsilon": ["7"], "s_matrix": [[0, 1], [-1, 0]]}},
+            "epsilon does not have exact order 200000",
+        ),
+        (
+            {
+                "entries": [[["1"], ["7"]], [["1/7"], ["1"]]],
+                "declared_orders": [[1, 300000], [300000, 1]],
+            },
+            "declared order of q[0][1] is wrong",
+        ),
+    ],
+    ids=["root_of_unity_l", "declared_orders"],
+)
+def test_huge_declared_order_fails_fast(q, message, tmp_path, capsys):
+    # a root of unity in a degree-2 field has order at most 2 * 2^2, so the
+    # order check stops there instead of taking hundreds of thousands of products
+    doc = {"field": {"kind": "quadratic", "D": 5}, "q": q, "action": {"kind": "trivial"}}
+    start = time.perf_counter()
+    assert main(["validate", str(_write(tmp_path / "big.json", doc))]) == 1
+    assert time.perf_counter() - start < 1.0
+    assert message in capsys.readouterr().out
 
 
 def test_missing_file_exit_code(capsys):

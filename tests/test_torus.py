@@ -1,10 +1,17 @@
 import random
+from pathlib import Path
 
 import pytest
 
 from qtorus.galois_action import build_explicit_action
 from qtorus.numfield import NumberField
+from qtorus.problems import load_json, load_problem
+from qtorus.specialization import CentralCharacter, _quotient_algebra
 from qtorus.torus import QMatrix, TwistedLaurentElement
+from qtorus.zlattice import Lattice
+
+CASES = Path(__file__).resolve().parent.parent / "cases"
+Q_CASES = sorted(p.name for p in CASES.glob("*.json") if "q" in load_json(p))
 
 
 def q_plane(field, q):
@@ -242,3 +249,84 @@ def test_root_of_unity_form(zeta3):
     assert Q.declared_orders == ((1, 3), (3, 1))
     with pytest.raises(ValueError):
         QMatrix.from_root_of_unity(zeta3, 4, z, [[0, 1], [-1, 0]])
+
+
+def entrywise(Q, m, k, pairs):
+    """prod q[i][j]^(m_i k_j) over ``pairs``, by plain ``**``: no cache, no reduction."""
+    out = Q.field.one()
+    for i, j in pairs:
+        out = out * Q.entries[i][j] ** (m[i] * k[j])
+    return out
+
+
+@pytest.mark.parametrize("name", Q_CASES)
+def test_exponent_form_matches_entrywise_products(name):
+    # every commutation matrix in cases/, root-of-unity or not (case1/2/3)
+    Q = load_problem(CASES / name).qmatrix
+    n = Q.n
+    lower = [(i, j) for i in range(n) for j in range(i)]
+    every = [(i, j) for i in range(n) for j in range(n) if i != j]
+    rng = random.Random(6)
+    for _ in range(40):
+        m, k = rand_exp(rng, n), rand_exp(rng, n)
+        assert Q.cocycle(m, k) == entrywise(Q, m, k, lower)
+        assert Q.bihom(m, k) == entrywise(Q, m, k, every)
+    field = Q.field
+    for _ in range(20):
+        factors = []
+        for _ in range(rng.randint(1, 4)):
+            g = field.one() if rng.random() < 0.5 else field.element(
+                [rng.choice([-2, -1, 1, 2, 3]) for _ in range(field.degree)]
+            )
+            factors.append((g, rand_exp(rng, n), rng.randint(-5, 5)))
+        # the per-factor rule with entrywise constants: g^e c(v, v)^(e(e-1)/2) c(exp, e v)
+        exp, coeff = (0,) * n, field.one()
+        for g, v, e in factors:
+            part = tuple(e * a for a in v)
+            coeff = coeff * g ** e * entrywise(Q, v, v, lower) ** (e * (e - 1) // 2)
+            coeff = coeff * entrywise(Q, exp, part, lower)
+            exp = tuple(a + b for a, b in zip(exp, part))
+        assert Q.power_product(factors) == (exp, coeff)
+
+
+def test_qpow_reduces_modulo_declared_order():
+    sqrt5 = NumberField.quadratic(5)
+    matrices = [QMatrix(sqrt5, [[1, -1], [-1, 1]], declared_orders=[[1, 2], [2, 1]])]
+    matrices += [load_problem(CASES / name).qmatrix for name in Q_CASES]
+    checked = 0
+    for Q in matrices:
+        if Q.declared_orders is None:
+            continue
+        for i, j in Q.pairs:
+            o = Q.declared_orders[i][j]
+            for e in range(-7, 8):
+                assert Q.qpow(i, j, e) == Q.qpow(i, j, e + o) == Q.entries[i][j] ** e
+                checked += 1
+    assert checked
+
+
+def test_reduce_monomial_matches_inverse_formula():
+    # central lattices of Q(zeta3)^3 that are not 3 Z^3, on which c(r, lam) is
+    # not always 1: index 27 (a dim-27 rung), and index 18, whose first digit
+    # ranges over 2 values so that the quotient table meets such c(r, lam) too
+    zeta3 = NumberField.cyclotomic(3)
+    Q = QMatrix.from_root_of_unity(zeta3, 3, zeta3.gen(), [[0, 1, 2], [-1, 0, 2], [-2, -2, 0]])
+    rng = random.Random(7)
+    for rows, dim in (([[9, 0, 0], [0, 3, 0], [2, 1, 1]], 27), ([[2, 1, 1], [0, 3, 0], [0, 0, 3]], 18)):
+        lattice = Lattice.from_rows(rows, 3)
+        chi = CentralCharacter(Q, lattice, [2, zeta3.gen(), -1])
+
+        def old_formula(exp):
+            r, lam = lattice.reduce(exp)
+            return r, Q.cocycle(r, lam).inverse() * chi.value(lam)
+
+        exps = [rand_exp(rng, 3, span=12) for _ in range(60)]
+        assert sum(Q.cocycle(*lattice.reduce(e)) != 1 for e in exps) > 10
+        for exp in exps:
+            assert chi.reduce_monomial(exp) == old_formula(exp)
+        algebra = _quotient_algebra(Q, chi)
+        assert algebra.dim == dim
+        for (i, j), row in algebra.table.items():
+            g, h = algebra.labels[i], algebra.labels[j]
+            r, u = old_formula(tuple(a + b for a, b in zip(g, h)))
+            assert row == {algebra.labels.index(r): Q.cocycle(g, h) * u}
