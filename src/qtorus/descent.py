@@ -1,12 +1,12 @@
 """Galois descent: rational forms of twisted Laurent algebras and centers.
 
-The fixed subalgebra of a semilinear action is computed orbitwise.  For
-the orbit of a monomial x^m the action permutes the L-lines spanned by
-the orbit monomials (with unit corrections), so the fixed points form a
-Q-space whose dimension equals the orbit size; they are found by an
-exact kernel computation over Q on the |orbit| * [L:Q] dimensional
-coefficient space and canonicalized by reduced row echelon form under
-the degree-lexicographic term order.
+The fixed subalgebra of a semilinear action is computed orbitwise.  The
+action permutes the L-lines of an orbit's monomials (with unit
+corrections), and by Galois descent their L-span V is L (x) V^G, so the
+trace v -> sum_sigma sigma(v) maps the line of the orbit's first monomial
+onto the fixed points V^G, a Q-space of dimension the orbit size.  One
+reduced row echelon form of those traces, under the degree-lexicographic
+term order, gives its canonical basis; exact certificates prove it.
 
 A cocycle of units over a subgroup of the Galois group splits through a
 nonzero twisted sum b = sum_h gamma_h h(c): the splitting unit is b^{-1}.
@@ -22,7 +22,7 @@ from math import gcd
 
 from . import _linalg
 from .errors import OrderUndeclared, SearchExhausted, VerificationFailed
-from .numfield import _ONE, _ZERO, unit_order
+from .numfield import _ZERO, unit_order
 from .torus import TwistedLaurentElement, term_key
 from .zlattice import Lattice, kernel_mod
 
@@ -67,46 +67,59 @@ def _fixed_point_basis(action, labels, image_of):
     """Q-basis of the fixed points of a units-permutation semilinear action.
 
     ``labels`` lists the permuted lines in canonical order; ``image_of``
-    maps (sigma_idx, label) to (unit, label').  Returns a list of
-    {label: FieldElement} coefficient dictionaries, RREF-canonical (flattened
-    over the power basis, they are the nonzero rows of an RREF), certified
-    to number one per line and to have full rank over L.
+    maps (sigma_idx, label) to (unit, label'): sigma sends c x_label to
+    sigma(c) unit x_label'.  Returns a list of {label: FieldElement}
+    coefficient dictionaries, RREF-canonical (flattened over the power
+    basis, they are the nonzero rows of an RREF).
+
+    The rows reduced are the traces sum_sigma sigma(t^j x_r), r the first
+    label of each orbit.  Whatever spanned them, three certificates make
+    the output a Q-basis of the fixed points: each vector is fixed by every
+    sigma, there is one per line, and the L-rank is full.  Then they span
+    the lines over L, so a fixed w = sum a_b out_b has unique coordinates,
+    sigma(a_b) = a_b for every sigma and a_b is in Q.  RREF is unique.
     """
     field = action.qmatrix.field
     d = field.degree
     pos = {lab: p for p, lab in enumerate(labels)}
-    dim = len(labels) * d
-    powers = field.basis()
+    others = range(1, len(action.galois))
+    moves = {idx: [image_of(idx, lab) for lab in labels] for idx in others}
+    conjugates = {idx: [action.sigma(idx)(t) for t in field.basis()] for idx in others}
 
-    stacked = []
-    for idx in range(1, len(action.galois)):
-        sig = action.sigma(idx)
-        cols = []
-        for lab in labels:
-            unit, lab2 = image_of(idx, lab)
-            p2 = pos[lab2]
-            for j in range(d):
-                img = sig(powers[j]) * unit
-                col = [_ZERO] * dim
-                col[p2 * d : (p2 + 1) * d] = img.coeffs
-                cols.append(col)
-        for r in range(dim):
-            row = [cols[c][r] for c in range(dim)]
-            row[r] -= _ONE
-            stacked.append(row)
-    basis_vecs = _linalg.nullspace(stacked, dim, _ZERO, _ONE)
-    reduced, _ = _linalg.rref(basis_vecs)
-    out = []
-    for vec in reduced:
-        if not any(vec):
+    traces = []
+    seen = set()
+    for p, r in enumerate(labels):
+        if r in seen:
             continue
+        seen.update(moves[idx][p][1] for idx in others)
+        for j in range(d):
+            row = [_ZERO] * (len(labels) * d)
+            row[p * d + j] += 1
+            for idx in others:
+                unit, lab2 = moves[idx][p]
+                for i, x in enumerate((conjugates[idx][j] * unit).coeffs, pos[lab2] * d):
+                    row[i] += x
+            traces.append(row)
+    reduced, pivots = _linalg.rref(traces)
+    out = []
+    for vec in reduced[: len(pivots)]:
         coeffs = {}
         for p, lab in enumerate(labels):
-            c = field.element(vec[p * d : (p + 1) * d])
-            if c:
-                coeffs[lab] = c
+            block = vec[p * d : (p + 1) * d]
+            if any(block):
+                coeffs[lab] = field.element(block)
         out.append(coeffs)
     witness = {"first_label": labels[0], "fixed": len(out), "lines": len(labels)}
+    for idx in others:
+        sig = action.sigma(idx)
+        for vec in out:
+            image = {}
+            for lab, c in vec.items():
+                unit, lab2 = moves[idx][pos[lab]]
+                image[lab2] = sig(c) * unit
+            if image != vec:
+                witness["sigma"] = idx
+                raise VerificationFailed("descent output is not fixed", witness=witness)
     if len(out) != len(labels):
         raise VerificationFailed("descent dimension mismatch", witness=witness)
     rows = [[vec.get(lab, field.zero()) for vec in out] for lab in labels]
@@ -116,11 +129,9 @@ def _fixed_point_basis(action, labels, image_of):
 
 
 def invariant_basis(action, m):
-    """Q-basis of the Galois-fixed points of the L-span of the orbit of x^m.
+    """Q-basis of the Galois-fixed points of the L-span of the orbit of x^m,
 
-    The output is verified on the spot: every element is fixed by the whole
-    group, and (certified by ``_fixed_point_basis``) the count equals the
-    orbit size and the L-span of the output contains each orbit monomial.
+    certified by ``_fixed_point_basis`` on the action's monomial images.
     """
     data = orbit(action, m)
     labels = sorted(data.orbit, key=term_key)
@@ -130,22 +141,17 @@ def invariant_basis(action, m):
         return coeff, exp
 
     vecs = _fixed_point_basis(action, labels, image_of)
-    elements = tuple(TwistedLaurentElement(action.qmatrix, dict(v)) for v in vecs)
-    for elt in elements:
-        if not action.is_fixed(elt):
-            raise VerificationFailed("invariant basis element is not fixed", witness={"m": m})
-    return InvariantBasis(data, elements)
+    return InvariantBasis(data, tuple(TwistedLaurentElement(action.qmatrix, v) for v in vecs))
 
 
 def span_contains(basis_elements, element):
     """Whether ``element`` is an L-linear combination of the basis elements."""
-    labels = set()
-    for b in basis_elements:
-        labels.update(b.terms)
-    labels.update(element.terms)
-    labels = sorted(labels, key=term_key)
     if not basis_elements:
         return element.is_zero()
+    labels = set(element.terms)
+    for b in basis_elements:
+        labels.update(b.terms)
+    labels = sorted(labels, key=term_key)
     field = basis_elements[0].q.field
     rows = [[b.terms.get(lab, field.zero()) for b in basis_elements] for lab in labels]
     rhs = [element.terms.get(lab, field.zero()) for lab in labels]
@@ -163,11 +169,9 @@ def completeness_sweep(action, bound=3):
     for m in product(range(-bound, bound + 1), repeat=q.n):
         data = orbit(action, m)
         rep = min(data.orbit, key=term_key)
-        ib = bases.get(rep)
-        if ib is None:
-            ib = invariant_basis(action, rep)
-            bases[rep] = ib
-        if not span_contains(ib.elements, TwistedLaurentElement.monomial(q, m)):
+        if rep not in bases:
+            bases[rep] = invariant_basis(action, rep)
+        if not span_contains(bases[rep].elements, TwistedLaurentElement.monomial(q, m)):
             failures.append(m)
     return bases, failures
 
@@ -327,13 +331,9 @@ def center_generators(action, l_center=False):
             if action.module.apply(idx, row) not in lat:
                 raise ValueError("central lattice is not stable under the action")
     out = []
-    seen = set()
     for row in lat.basis:
-        data = orbit(action, row)
-        key = frozenset(data.orbit)
-        if key in seen:
+        if any(row in ib.orbit.orbit for ib in out):
             continue
-        seen.add(key)
         ib = invariant_basis(action, row)
         for elt in ib.elements:
             ok, witness = is_central(elt)

@@ -39,7 +39,7 @@ class TorusModule:
     table.
     """
 
-    __slots__ = ("galois", "n", "mats")
+    __slots__ = ("galois", "n", "mats", "cols")
 
     def __init__(self, galois, mats):
         mats = tuple(tuple(tuple(int(x) for x in row) for row in M) for M in mats)
@@ -62,14 +62,14 @@ class TorusModule:
         self.galois = galois
         self.n = n
         self.mats = mats
+        self.cols = tuple(tuple(zip(*M)) for M in mats)
 
     def apply(self, idx, m):
         M = self.mats[idx]
         return tuple(sum(M[r][c] * m[c] for c in range(self.n)) for r in range(self.n))
 
     def column(self, idx, i):
-        M = self.mats[idx]
-        return tuple(M[r][i] for r in range(self.n))
+        return self.cols[idx][i]
 
 
 class GammaCocycle:

@@ -148,7 +148,9 @@ def _common_denominator(vectors):
 class NumberField:
     """Q[t]/(f) together with its reduction data and (optionally) Gal(L/Q)."""
 
-    __slots__ = ("min_poly", "kind", "param", "degree", "_red", "_red_den", "galois")
+    __slots__ = (
+        "min_poly", "kind", "param", "degree", "_red", "_red_den", "galois", "_zero", "_one"
+    )
 
     def __init__(self, min_poly, kind, param=None):
         coeffs = tuple(Fraction(c) for c in min_poly)
@@ -171,6 +173,9 @@ class NumberField:
                 shifted = [s + top * b for s, b in zip(shifted, base)]
             red.append(tuple(shifted))
         self._red_den, self._red = _common_denominator(red)
+        # elements are immutable, so every caller can share these two
+        self._zero = FieldElement(self, (0,) * d, 1)
+        self._one = FieldElement(self, (1,) + (0,) * (d - 1), 1)
         self.galois = None
 
     # -- constructors -------------------------------------------------
@@ -246,10 +251,10 @@ class NumberField:
         return FieldElement(self, (c.numerator,) + (0,) * (self.degree - 1), c.denominator)
 
     def zero(self):
-        return self.from_rational(0)
+        return self._zero
 
     def one(self):
-        return self.from_rational(1)
+        return self._one
 
     def gen(self):
         if self.degree == 1:

@@ -101,6 +101,8 @@ def parse_int_matrix(doc, path):
         raise ProblemFormatError("expected a nonempty matrix", path)
     out = []
     for i, row in enumerate(doc):
+        if row == []:
+            raise ProblemFormatError("expected a nonempty row", f"{path}[{i}]")
         if isinstance(row, list) and len(row) != len(doc[0]):
             raise ProblemFormatError("matrix rows differ in length", f"{path}[{i}]")
         out.append(parse_int_list(row, f"{path}[{i}]"))

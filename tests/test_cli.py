@@ -128,6 +128,8 @@ MALFORMED = [
     (["normal-form"], {"matrix": [[0, "x"], [0, 0]]}, "$.matrix[0][1]"),
     (["normal-form"], {"matrix": [[0, 1.7], [-1.7, 0]]}, "$.matrix[0][1]"),
     (["normal-form"], {"matrix": []}, "$.matrix"),
+    (["normal-form"], {"matrix": [[]]}, "$.matrix[0]"),
+    (["normal-form"], {"matrix": [[], []]}, "$.matrix[0]"),
     (["normal-form"], {"matrix": [[0, 1], [2]]}, "$.matrix[1]"),
     (["normal-form"], '{"matrix": [[0, 1], [-1, 0]', "$"),
     (["specialize", case("l3_standard.json"), "--chi"], '{"values": ["2", "2"', "$"),

@@ -1,10 +1,13 @@
 import random
 from fractions import Fraction
+from itertools import product
+from pathlib import Path
 
 import pytest
 
 from qtorus import _linalg
 from qtorus.descent import (
+    _fixed_point_basis,
     central_elements_up_to,
     central_lattice,
     center_generators,
@@ -17,10 +20,15 @@ from qtorus.descent import (
     span_contains,
     split_cocycle,
 )
-from qtorus.errors import OrderUndeclared
+from qtorus.errors import OrderUndeclared, VerificationFailed
 from qtorus.galois_action import build_order2_action, build_trivial_action
 from qtorus.numfield import NumberField
+from qtorus.problems import load_json, load_problem
+from qtorus.specialization import CentralCharacter, specialize
 from qtorus.torus import QMatrix, TwistedLaurentElement, term_key
+
+CASES = Path(__file__).resolve().parent.parent / "cases"
+ACTION_CASES = sorted(p.name for p in CASES.glob("*.json") if "action" in load_json(p))
 
 
 def q_plane(field, q):
@@ -338,3 +346,103 @@ def test_is_central_witness(zeta3):
     assert ok
     ok, _ = is_central(TwistedLaurentElement.monomial(Q, (0, 0), z))
     assert ok
+
+
+# ---------------------------------------------------------------------------
+# the trace basis against the stacked (sigma - 1) system, solved by sympy
+
+
+def monomial_image_of(action):
+    def image_of(idx, lab):
+        exp, coeff = action.monomial_image(idx, lab)
+        return coeff, exp
+
+    return image_of
+
+
+def sympy_fixed_rref(action, labels, image_of):
+    """Nonzero RREF rows of the kernel of the stacked (sigma - 1) system, over QQ in sympy."""
+    sympy = pytest.importorskip("sympy")
+    field = action.qmatrix.field
+    d = field.degree
+    pos = {lab: p for p, lab in enumerate(labels)}
+    dim = len(labels) * d
+    blocks = []
+    for idx in range(1, len(action.galois)):
+        sig = action.sigma(idx)
+        block = -sympy.eye(dim)
+        for p, lab in enumerate(labels):
+            unit, lab2 = image_of(idx, lab)
+            for j, t in enumerate(field.basis()):
+                for i, x in enumerate((sig(t) * unit).coeffs):
+                    block[pos[lab2] * d + i, p * d + j] += sympy.Rational(x.numerator, x.denominator)
+        blocks.append(block)
+    kernel = sympy.Matrix.vstack(*blocks).nullspace()
+    reduced, pivots = sympy.Matrix.hstack(*kernel).T.rref()
+    return [[Fraction(int(x.p), int(x.q)) for x in reduced.row(i)] for i in range(len(pivots))]
+
+
+def assert_trace_basis_matches_oracle(action, labels, image_of):
+    field = action.qmatrix.field
+    zero = (Fraction(0),) * field.degree
+    got = [
+        [x for lab in labels for x in (vec[lab].coeffs if lab in vec else zero)]
+        for vec in _fixed_point_basis(action, labels, image_of)
+    ]
+    assert got == sympy_fixed_rref(action, labels, image_of), labels
+
+
+def assert_orbits_match_oracle(action, bound):
+    done = set()
+    for m in product(range(-bound, bound + 1), repeat=action.n):
+        labels = sorted(orbit(action, m).orbit, key=term_key)
+        if labels[0] not in done:
+            done.add(labels[0])
+            assert_trace_basis_matches_oracle(action, labels, monomial_image_of(action))
+
+
+@pytest.mark.parametrize("name", ACTION_CASES)
+def test_trace_basis_matches_sympy_on_case_orbits(name):
+    assert_orbits_match_oracle(load_problem(CASES / name).action, 2)
+
+
+def test_trace_basis_matches_sympy_on_order4_orbits(rotation5):
+    # (0, 0, 1) is fixed by the whole group; (1, 0, 0) has a free orbit of size 4
+    assert orbit(rotation5, (0, 0, 1)).stabilizer == (0, 1, 2, 3)
+    assert len(orbit(rotation5, (1, 0, 0)).orbit) == 4
+    assert_orbits_match_oracle(rotation5, 1)
+
+
+@pytest.mark.parametrize(
+    "S, values",
+    [([[0, 1], [-1, 0]], [2, 2]), ([[0, 1, 2], [-1, 0, 2], [-2, -2, 0]], [2, 2, -1])],
+    ids=["dim9", "dim27"],
+)
+def test_trace_basis_matches_sympy_on_ladder_quotient(zeta3, S, values):
+    Q = QMatrix.from_root_of_unity(zeta3, 3, zeta3.gen(), S)
+    blocks = [{"swap": [0, 1]}] + [{"sign": -1}] * (len(S) - 2)
+    action = build_order2_action(Q, zeta3.galois, blocks)
+    char = CentralCharacter.for_l_center(Q, values)
+
+    def image_of(idx, g):
+        exp, coeff = action.monomial_image(idx, g)
+        r, unit = char.reduce_monomial(exp)
+        return coeff * unit, r
+
+    labels = specialize(action, char).labels
+    assert len(labels) == 3 ** len(S)
+    assert_trace_basis_matches_oracle(action, labels, image_of)
+
+
+def test_fixed_point_certificate_rejects_a_non_action(sqrt5):
+    # sigma swaps two lines, sending x_a -> u x_b and x_b -> u' x_a; it squares
+    # to the identity only if sigma(u) u' == 1.  With u = 1, u' = 2 the traces
+    # x_a + x_b and t x_a - t x_b still number one per line and have full
+    # L-rank, so only the check that each output vector is fixed rejects them
+    action = build_trivial_action(q_plane(sqrt5, sqrt5.from_rational(7)), sqrt5.galois)
+    one, two = sqrt5.one(), sqrt5.from_rational(2)
+    good = {"a": (one, "b"), "b": (one, "a")}
+    assert len(_fixed_point_basis(action, ["a", "b"], lambda idx, lab: good[lab])) == 2
+    bad = {"a": (one, "b"), "b": (two, "a")}
+    with pytest.raises(VerificationFailed, match="not fixed"):
+        _fixed_point_basis(action, ["a", "b"], lambda idx, lab: bad[lab])

@@ -465,3 +465,22 @@ def test_prop2_shape_random_l3(zeta3):
         alg_full = specialize(action, full, which="full_center")
         assert alg_full.center_dim() == 1
         assert alg_full.radical_dim() == 0
+
+
+def test_rotation5_full_center_k_form(rotation5):
+    # the order-4 action on the dim-25 full-center quotient, where chi = 1 is equivariant
+    char = CentralCharacter.for_full_center(rotation5.qmatrix, [1, 1, 1])
+    alg_L = specialize(rotation5, char, which="full_center")
+    alg_k, embedding = rational_form(rotation5, char, alg_L)
+    assert alg_k.dim == alg_L.dim == 25
+    assert alg_k.center_dim() == 1
+    check_rational_form_embeds(rotation5, char, alg_L, alg_k, embedding)
+
+
+def test_rotation5_l_center_k_form(rotation5):
+    # dim 125: sigma sends x1^5 -> x2^5 -> x1^-5, so their values agree and multiply to 1
+    char = l_center_char(rotation5, [1, 1, 2])
+    alg_L = specialize(rotation5, char, which="l_center")
+    alg_k, _ = rational_form(rotation5, char, alg_L)
+    assert alg_k.dim == 125
+    assert alg_L.center_dim() == 5
