@@ -31,12 +31,13 @@ def rref(rows):
             continue
         mat[r], mat[pr] = mat[pr], mat[r]
         inv = 1 / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
+        # zero entries are skipped: a product with a zero factor is zero
+        mat[r] = [x * inv if x else x for x in mat[r]]
         for i in range(len(mat)):
             if i != r and mat[i][c]:
                 f = mat[i][c]
                 row_r = mat[r]
-                mat[i] = [a - f * b for a, b in zip(mat[i], row_r)]
+                mat[i] = [a - f * b if b else a for a, b in zip(mat[i], row_r)]
         pivots.append(c)
         r += 1
     return mat, pivots

@@ -464,7 +464,8 @@ class FieldElement:
         return self.den == o.den and self.num == o.num
 
     def __hash__(self):
-        return hash((self.field.min_poly, self.num, self.den))
+        # equal elements have equal (num, den); the field is left to __eq__
+        return hash((self.num, self.den))
 
     def __repr__(self):
         parts = []

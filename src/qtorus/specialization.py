@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, lcm
 
 from . import _linalg
 from .descent import (
@@ -395,6 +395,14 @@ def rational_form(action, character, algebra=None):
     every product phi(e_i) phi(e_j) exactly (``coords_of``), and lands
     in the L-form, whose associativity its construction checked on every
     triple.  So phi((e_i e_j) e_k) == phi(e_i (e_j e_k)) for every triple.
+
+    The table runs on interned coefficients and integer coordinates.  Each
+    coefficient of phi and of the L-form table gets an id by exact value,
+    and the product of two ids is computed the first time the pair is met.
+    phi(e_i) phi(e_j) is then a list of (target, id) terms read from
+    ``algebra.table``.  ``coords_of`` sums them on integer numerators over
+    one denominator, reads the coordinates at the pivots of the basis
+    rows, and checks the reconstruction on integers.
     """
     Q = action.qmatrix
     if algebra is None:
@@ -416,39 +424,83 @@ def rational_form(action, character, algebra=None):
     vecs = _fixed_point_basis(action, labels, image_of)
     N = len(labels)
     d = Q.field.degree
-    embedded = [{index[lab]: c for lab, c in v.items()} for v in vecs]
 
-    def flat(vec):
-        """The nonzero rational entries of vec over the power basis, by position."""
-        return {
-            p * d + t: Fraction(x, c.den) for p, c in vec.items() for t, x in enumerate(c.num) if x
-        }
+    # coefficients interned by exact value; each keeps its denominator and
+    # its nonzero numerators by power of t
+    ids, vals, flat = {}, [], []
 
-    # the flattened basis is in RREF, so a vector's coordinates in it are
-    # its entries at the pivot columns whenever it lies in the span
-    B = [flat(v) for v in embedded]
-    basis_at = {min(row): b for b, row in enumerate(B)}
+    def intern(c):
+        got = ids.get(c)
+        if got is None:
+            got = ids[c] = len(vals)
+            vals.append(c)
+            flat.append((c.den, [(t, x) for t, x in enumerate(c.num) if x]))
+        return got
 
-    def coords_of(vec):
-        w = flat(vec)
+    memo = {}
+
+    def times(x, y):
+        """The id of vals[x] * vals[y], multiplied the first time the pair is met."""
+        got = memo.get((x, y))
+        if got is None:
+            got = memo[(x, y)] = intern(vals[x] * vals[y])
+        return got
+
+    phi = [[(index[lab], intern(c)) for lab, c in v.items()] for v in vecs]
+    targets = {key: [(k, intern(c)) for k, c in tg.items()] for key, tg in algebra.table.items()}
+
+    # each basis row once, over the power basis at position p * d + t: its
+    # denominator M_b and integer numerators.  The rows are an RREF, so the
+    # first position is the row's pivot, where it equals 1
+    rows, basis_at = [], {}
+    for b, v in enumerate(phi):
+        M = lcm(*(flat[z][0] for _, z in v))
+        row = {p * d + t: x * (M // flat[z][0]) for p, z in v for t, x in flat[z][1]}
+        rows.append((M, row))
+        basis_at[min(row)] = b
+
+    def coords_of(terms):
+        """Rational coordinates of the sum of vals[z] e_k over (k, z) in terms.
+
+        The sum is W / L, with L the lcm of the terms' denominators; the
+        coordinate of row b is the entry of W at its pivot, over L.  The
+        exact reconstruction sum_b W[pivot_b] row_b / M_b == W runs on
+        integers, scaled by the lcm M of the M_b used.
+        """
+        L = lcm(*(flat[z][0] for _, z in terms))
+        w = {}
+        for k, z in terms:
+            den, nz = flat[z]
+            s = L // den
+            for t, x in nz:
+                p = k * d + t
+                w[p] = w.get(p, 0) + x * s
+        w = {p: x for p, x in w.items() if x}
         c = sorted((basis_at[p], x) for p, x in w.items() if p in basis_at)
-        # exact reconstruction check
+        M = lcm(*(rows[b][0] for b, _ in c))
         recon = {}
-        for b, cb in c:
-            for p, val in B[b].items():
-                s = recon.get(p)
-                recon[p] = cb * val if s is None else s + cb * val
-        if {p: x for p, x in recon.items() if x} != w:
+        for b, x in c:
+            Mb, row = rows[b]
+            f = x * (M // Mb)
+            for p, r in row.items():
+                recon[p] = recon.get(p, 0) + f * r
+        if {p: x for p, x in recon.items() if x} != {p: M * x for p, x in w.items()}:
             raise InconsistentCharacter("product left the rational form")
-        return {b: rationals.from_rational(cb) for b, cb in c}
+        return {b: rationals._make((x,), L) for b, x in c}
+
+    def product_terms(i, j):
+        """phi(e_i) phi(e_j) as (target, value id) terms, read from the L-form table."""
+        terms = []
+        for a, x in phi[i]:
+            for b, y in phi[j]:
+                xy = times(x, y)
+                terms += [(k, times(xy, t)) for k, t in targets[(a, b)]]
+        return terms
 
     rationals = NumberField.rationals()
-    table = {
-        (i, j): coords_of(algebra.mul(embedded[i], embedded[j])) for i in range(N) for j in range(N)
-    }
-    rational = FiniteDimAlgebra._transported(
-        rationals, tuple(range(N)), table, coords_of(algebra.unit)
-    )
+    table = {(i, j): coords_of(product_terms(i, j)) for i in range(N) for j in range(N)}
+    unit = coords_of([(k, intern(c)) for k, c in algebra.unit.items()])
+    rational = FiniteDimAlgebra._transported(rationals, tuple(range(N)), table, unit)
     return rational, vecs
 
 

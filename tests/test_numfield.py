@@ -294,6 +294,13 @@ def test_equal_elements_have_equal_form_and_hash(name):
             assert (other.num, other.den) == (a.num, a.den)
             assert hash(other) == hash(a)
     assert hash(field.from_rational(Fraction(2, 4))) == hash(field.element([Fraction(1, 2)]))
+    # the hash reads (num, den) only; equal forms in another field still compare unequal
+    a = field.gen() + 2
+    shifted = tuple(c + 1 for c in field.min_poly[:-1]) + (Fraction(1),)
+    twin = NumberField(shifted, "custom").element(a.coeffs)
+    assert (twin.num, twin.den) == (a.num, a.den)
+    assert twin != a and a != twin
+    assert len({a: 0, twin: 1}) == 2
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_FIELDS))

@@ -282,6 +282,24 @@ def test_rational_form_full_center(zeta3):
     check_rational_form_embeds(action, char, alg_L, alg_k, embedding)
 
 
+@pytest.mark.parametrize(
+    "l, S, values",
+    [
+        (3, [[0, 1, 2], [-1, 0, 2], [-2, -2, 0]], [2, 2, -1]),
+        (4, [[0, 1, -1], [-1, 0, -1], [1, 1, 0]], [3, 3, -1]),
+    ],
+    ids=["dim27", "dim64"],
+)
+def test_rational_form_embeds_on_ladder_shapes(l, S, values):
+    # the swap/sign rungs the benchmark times: the sign block gives orbits
+    # with a nontrivial stabilizer, and the character has a unit value
+    action, char = _swap_rung(NumberField.cyclotomic(l), S, values)
+    alg_L = specialize(action, char, which="l_center")
+    alg_k, embedding = rational_form(action, char, alg_L)
+    assert alg_k.dim == alg_L.dim == l ** 3
+    check_rational_form_embeds(action, char, alg_L, alg_k, embedding)
+
+
 def test_rational_form_requires_equivariant_values(swap3):
     char = l_center_char(swap3, [2, 3])
     with pytest.raises(InconsistentCharacter):
