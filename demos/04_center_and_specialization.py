@@ -47,4 +47,4 @@ sym = CentralCharacter.for_l_center(Q, [2, 2])
 alg_L = specialize(action, sym)
 alg_k, _ = rational_form(action, sym, alg_L)
 print("\nrational form dimension:", alg_k.dim)
-print("rational center / radical:", alg_k.center_dim(), "/", alg_k.radical_dim())
+print("rational center / radical (from the L-form, by transport):", alg_L.center_dim(), "/", alg_L.radical_dim())

@@ -183,8 +183,9 @@ def cmd_specialize(args):
         rational, _ = rational_form(spec.action, char, algebra)
         rep.inputs["rational_dimension"] = rational.dim
         rep.add("rational-form-dimension-matches", rational.dim == algebra.dim)
-        rep.inputs["rational_center_dim"] = rational.center_dim()
-        rep.inputs["rational_radical_dim"] = rational.radical_dim()
+        # rational_form certified A_k (x) L == A_L, which keeps center and radical dims
+        rep.inputs["rational_center_dim"] = cdim
+        rep.inputs["rational_radical_dim"] = rdim
     return rep
 
 

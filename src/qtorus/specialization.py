@@ -139,48 +139,60 @@ class FiniteDimAlgebra:
     * any other table: (e_i e_j) e_k == e_i (e_j e_k) through ``mul``;
     * the rational form built by ``rational_form``: transported from its
       L-form through an injective unital ring map (``_transported``).
+
+    ``center_dim`` is exact on graded monomial tables and raises on any
+    other; a rational form's center and radical are its L-form's.
     """
 
-    __slots__ = ("field", "labels", "table", "unit", "is_monomial")
+    __slots__ = ("field", "labels", "table", "unit", "is_monomial", "is_graded")
 
     def __init__(self, field, labels, table, unit):
-        self._set_table(field, labels, table, unit)
-        ok, witness = self.check_associativity()
-        if not ok:
-            raise VerificationFailed("non-associative table", witness=witness)
-
-    @classmethod
-    def _transported(cls, field, labels, table, unit):
-        """An algebra whose associativity its caller has already proven.
-
-        The caller must certify an injective map of the basis into an
-        associative algebra that is unital and multiplicative on every
-        basis pair; associativity then carries over, and no triple is
-        checked here.
-        """
-        self = cls.__new__(cls)
-        self._set_table(field, labels, table, unit)
-        return self
-
-    def _set_table(self, field, labels, table, unit):
         self.field = field
         self.labels = tuple(labels)
         n = len(self.labels)
-        clean = {}
-        for (i, j), targets in table.items():
-            tg = {k: c for k, c in targets.items() if c}
-            clean[(i, j)] = tg
+        clean = {key: {k: c for k, c in tg.items() if c} for key, tg in table.items()}
         for i in range(n):
             for j in range(n):
                 if (i, j) not in clean:
                     raise ValueError(f"missing product ({i}, {j})")
         self.table = clean
         self.unit = {k: c for k, c in unit.items() if c}
-        self.is_monomial = all(len(t) <= 1 for t in clean.values())
+        self._classify()
         for j in range(n):
             ej = {j: field.one()}
             if self.mul(self.unit, ej) != ej or self.mul(ej, self.unit) != ej:
                 raise ValueError("unit vector does not act as identity")
+        ok, witness = self.check_associativity()
+        if not ok:
+            raise VerificationFailed("non-associative table", witness=witness)
+
+    @classmethod
+    def _transported(cls, field, labels, table, unit):
+        """An algebra stored as given: its caller certified an injective map of the
+        basis into an associative algebra, unital and multiplicative on every basis
+        pair, and gives every product with no zero coefficient."""
+        self = cls.__new__(cls)
+        self.field, self.labels, self.table, self.unit = field, tuple(labels), table, unit
+        self._classify()
+        return self
+
+    def _classify(self):
+        """Set ``is_monomial``, and ``is_graded``: the table is monomial, e_g e_h and
+        e_h e_g have one target or are both zero, and for each h distinct g give
+        distinct targets (every L-form).  Then sum a_g e_g commutes with e_h iff
+        a_g c(g, h) == a_g c(h, g) for every g, so central monomials span the center.
+        """
+        self.is_monomial = all(len(t) <= 1 for t in self.table.values())
+        self.is_graded = False
+        if self.is_monomial:
+            n = self.dim
+            tgt = [[n] * n for _ in range(n)]
+            for (i, j), t in self.table.items():
+                for k in t:
+                    tgt[i][j] = k
+            self.is_graded = tgt == [list(col) for col in zip(*tgt)] and all(
+                len(set(row) - {n}) == n - row.count(n) for row in tgt
+            )
 
     @property
     def dim(self):
@@ -281,30 +293,13 @@ class FiniteDimAlgebra:
         return True, None
 
     def center_dim(self):
-        """Dimension of {z : z g == g z for every basis g}, exactly."""
+        """Dimension of the center: the count of central monomials of a graded
+        table, exact by ``_classify``; any other table raises.  A rational
+        form's center has its L-form's dimension (see ``rational_form``)."""
+        if not self.is_graded:
+            raise PreconditionFailure("center_dim counts central monomials; the table is not graded")
         n = self.dim
-        if self.is_monomial:
-            count = 0
-            for g in range(n):
-                if all(self.table[(g, h)] == self.table[(h, g)] for h in range(n)):
-                    count += 1
-            return count
-        zero, one = self.field.zero(), self.field.one()
-        rows = []
-        for h in range(n):
-            targets = set()
-            for g in range(n):
-                targets.update(self.table[(g, h)])
-                targets.update(self.table[(h, g)])
-            for r in sorted(targets):
-                row = []
-                for g in range(n):
-                    a = self.table[(g, h)].get(r, zero)
-                    b = self.table[(h, g)].get(r, zero)
-                    row.append(a - b)
-                if any(row):
-                    rows.append(row)
-        return len(_linalg.nullspace(rows, n, zero, one))
+        return sum(all(self.table[(g, h)] == self.table[(h, g)] for h in range(n)) for g in range(n))
 
     def radical_dim(self):
         """Kernel dimension of the trace form of left multiplication.
@@ -395,6 +390,8 @@ def rational_form(action, character, algebra=None):
     every product phi(e_i) phi(e_j) exactly (``coords_of``), and lands
     in the L-form, whose associativity its construction checked on every
     triple.  So phi((e_i e_j) e_k) == phi(e_i (e_j e_k)) for every triple.
+    With equal dimensions phi (x) L is an isomorphism, so the center and
+    radical dimensions of ``algebra`` are the rational form's as well.
 
     The table runs on interned coefficients and integer coordinates.  Each
     coefficient of phi and of the L-form table gets an id by exact value,

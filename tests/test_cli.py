@@ -311,6 +311,24 @@ def test_specialize_with_chi_and_rational_form(tmp_path, capsys):
     assert doc["inputs"]["rational_radical_dim"] == 0
 
 
+def test_specialize_k_form_reports_a_center_above_one(tmp_path):
+    # the dim-27 swap/sign shape has center 3 (l3_standard's k-form has 1),
+    # so a rational_center_dim of 1 or of the dimension is caught
+    doc = {
+        "field": {"kind": "cyclotomic", "l": 3},
+        "q": {"root_of_unity": {"l": 3, "s_matrix": [[0, 1, 2], [-1, 0, 2], [-2, -2, 0]]}},
+        "action": {"kind": "order2", "blocks": [{"swap": [0, 1]}, {"sign": -1}]},
+        "character": {"lattice": "l_center", "values": ["2", "2", "-1"]},
+    }
+    problem, out_path = tmp_path / "dim27.json", tmp_path / "spec.json"
+    problem.write_text(json.dumps(doc))
+    assert main(["specialize", str(problem), "--form", "k", "--json", str(out_path)]) == 0
+    inputs = json.loads(out_path.read_text())["inputs"]
+    assert inputs["rational_dimension"] == 27
+    assert inputs["rational_center_dim"] == inputs["center_dim"] == 3
+    assert inputs["rational_radical_dim"] == 0
+
+
 def test_decompose_report(tmp_path):
     out_path = tmp_path / "dec.json"
     assert main(["decompose", case("n3_decompose.json"), "--json", str(out_path)]) == 0

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import permutations
 from math import comb
 
 import pytest
@@ -103,13 +104,69 @@ def test_center_and_radical_oracles(zeta3):
     assert quat.radical_dim() == 0
 
 
-def test_center_dim_general_path_matches_monomial(zeta3):
-    # force the generic stacked solve on a monomial table and compare
-    z = zeta3.gen()
-    alg = cyclic_algebra(zeta3, 2, 2, 3, -zeta3.one())
-    forced = FiniteDimAlgebra(alg.field, alg.labels, alg.table, alg.unit)
-    forced.is_monomial = False
-    assert forced.center_dim() == alg.center_dim() == 1
+def _group_table(field, elements, op):
+    """The monomial table e_g e_h = e_(op(g, h)) of a finite group, with e_0 the identity."""
+    index = {g: i for i, g in enumerate(elements)}
+    return {
+        (i, j): {index[op(g, h)]: field.one()}
+        for i, g in enumerate(elements)
+        for j, h in enumerate(elements)
+    }
+
+
+def test_center_dim_raises_off_graded_tables(zeta3):
+    # the central-monomial count is the center's dimension only on a graded
+    # monomial table; on these it returned 1 (S3, center 3), 0 (upper
+    # triangular 2 x 2, center 1) and 2 (null, center 3), so it must refuse them
+    rationals = NumberField.rationals()
+    one = rationals.one()
+    s3 = sorted(permutations(range(3)))
+    group = FiniteDimAlgebra(
+        rationals, s3, _group_table(rationals, s3, lambda g, h: tuple(g[x] for x in h)), {0: one}
+    )
+    # E11, E12, E22: E11 E12 = E12 = E12 E22, E11 and E22 idempotent, all else zero
+    table = {(i, j): {} for i in range(3) for j in range(3)}
+    table[(0, 0)], table[(0, 1)], table[(1, 2)], table[(2, 2)] = {0: one}, {1: one}, {1: one}, {2: one}
+    upper = FiniteDimAlgebra(rationals, ("E11", "E12", "E22"), table, {0: one, 2: one})
+    # 1, a, b, c, z with a, b, c pairwise multiplying onto z, e_i e_j = 2 z below the
+    # diagonal and z above it: targets agree both ways but not one per g, and
+    # a - b + c is central, so the center is 3 while the count is 2
+    table = {(i, j): {} for i in range(5) for j in range(5)}
+    for i in range(5):
+        table[(0, i)] = table[(i, 0)] = {i: one}
+    for i in range(1, 4):
+        for j in range(1, 4):
+            table[(i, j)] = {4: one * (2 if i > j else 1)}
+    null = FiniteDimAlgebra(rationals, "1abcz", table, {0: one})
+    assert sympy_center_dim(null) == 3
+    # a non-monomial table: the transported dim-16 k-form
+    action, char = _swap_rung(NumberField.cyclotomic(4), [[0, 1], [-1, 0]], [2, 2])
+    alg_k, _ = rational_form(action, char)
+    assert group.is_monomial and upper.is_monomial and null.is_monomial and not alg_k.is_monomial
+    for alg in (group, upper, null, alg_k):
+        assert not alg.is_graded
+        with pytest.raises(PreconditionFailure):
+            alg.center_dim()
+    # abelian group tables and truncated polynomial rings are graded
+    cyclic6 = _group_table(rationals, tuple(range(6)), lambda g, h: (g + h) % 6)
+    assert FiniteDimAlgebra(rationals, range(6), cyclic6, {0: one}).center_dim() == 6
+    assert truncated_line(zeta3).center_dim() == 2
+
+
+def sympy_center_dim(alg):
+    """Nullity over QQ of the commutator rows: the coefficient of e_r in [sum a_g e_g, e_h]."""
+    sympy = pytest.importorskip("sympy")
+    n, zero = alg.dim, alg.field.zero()
+    rows = []
+    for h in range(n):
+        for r in range(n):
+            row = []
+            for g in range(n):
+                x = (alg.table[(g, h)].get(r, zero) - alg.table[(h, g)].get(r, zero)).coeffs[0]
+                row.append(sympy.Rational(x.numerator, x.denominator))
+            if any(row):
+                rows.append(row)
+    return n - sympy.Matrix(rows).rank() if rows else n
 
 
 def test_construction_checks_every_triple(monkeypatch):
@@ -265,8 +322,9 @@ def test_rational_form_swap(swap3):
     alg_L = specialize(swap3, char)
     alg_k, embedding = rational_form(swap3, char, alg_L)
     assert alg_k.dim == alg_L.dim == 9
-    # rational central simplicity at the checkable level
-    assert alg_k.center_dim() == 1
+    # rational central simplicity at the checkable level: the k-form's
+    # commutator nullity is the L-form's center, as transport says
+    assert sympy_center_dim(alg_k) == alg_L.center_dim() == 1
     assert alg_k.radical_dim() == 0
     check_rational_form_embeds(swap3, char, alg_L, alg_k, embedding)
 
@@ -298,6 +356,14 @@ def test_rational_form_embeds_on_ladder_shapes(l, S, values):
     alg_k, embedding = rational_form(action, char, alg_L)
     assert alg_k.dim == alg_L.dim == l ** 3
     check_rational_form_embeds(action, char, alg_L, alg_k, embedding)
+
+
+def test_dim27_k_form_center_matches_l_form():
+    # the dim27 ladder shape, whose center (3) is larger than one
+    action, char = _swap_rung(NumberField.cyclotomic(3), [[0, 1, 2], [-1, 0, 2], [-2, -2, 0]], [2, 2, -1])
+    alg_L = specialize(action, char, which="l_center")
+    alg_k, _ = rational_form(action, char, alg_L)
+    assert sympy_center_dim(alg_k) == alg_L.center_dim() == 3
 
 
 def test_rational_form_requires_equivariant_values(swap3):
@@ -491,7 +557,7 @@ def test_rotation5_full_center_k_form(rotation5):
     alg_L = specialize(rotation5, char, which="full_center")
     alg_k, embedding = rational_form(rotation5, char, alg_L)
     assert alg_k.dim == alg_L.dim == 25
-    assert alg_k.center_dim() == 1
+    assert sympy_center_dim(alg_k) == alg_L.center_dim() == 1
     check_rational_form_embeds(rotation5, char, alg_L, alg_k, embedding)
 
 
