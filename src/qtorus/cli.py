@@ -242,8 +242,10 @@ def cmd_witness(args):
         raise ProblemFormatError("give exactly one of --D and --l", "--l")
     if args.D is not None:
         field = _field_flag("--D", NumberField.quadratic, args.D)
+    elif args.l in (3, 4, 6):
+        field = NumberField.cyclotomic(args.l)
     else:
-        field = _field_flag("--l", NumberField.cyclotomic, args.l)
+        raise ProblemFormatError(f"must be 3, 4 or 6 (degree 2), got {args.l}", "--l")
     return crossed_product_witness(args.case, field, _q_flag(args.q, field))
 
 
@@ -320,7 +322,7 @@ def build_parser():
     p = sub.add_parser("witness", help="order-2 crossed-product witness checks")
     p.add_argument("--case", type=int, required=True, choices=(1, 2, 4))
     p.add_argument("--D", type=int, help="quadratic field discriminant")
-    p.add_argument("--l", type=int, help="cyclotomic field index (instead of --D)")
+    p.add_argument("--l", type=int, help="cyclotomic field index 3, 4 or 6 (instead of --D)")
     p.add_argument("--q", required=True)
     common(p, problem=False)
     p.set_defaults(func=cmd_witness)

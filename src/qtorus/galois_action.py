@@ -279,12 +279,12 @@ def _rand_exp(rng, n, span=5):
     return tuple(rng.randint(-span, span) for _ in range(n))
 
 
-def _rand_element(action, rng, nterms=3, span=3):
+def _rand_element(action, rng):
     q = action.qmatrix
     out = TwistedLaurentElement.zero(q)
-    for _ in range(nterms):
+    for _ in range(3):
         c = q.field.element([rng.randint(-3, 3) for _ in range(q.field.degree)])
-        out = out + TwistedLaurentElement.monomial(q, _rand_exp(rng, q.n, span), c)
+        out = out + TwistedLaurentElement.monomial(q, _rand_exp(rng, q.n, 3), c)
     return out
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 from . import _linalg
 from .errors import FieldAssumptionViolated, SearchExhausted, VerificationFailed
@@ -125,15 +125,16 @@ def _cyclotomic_poly(l):
 
 
 def _is_squarefree(n):
+    """Trial division while p^3 <= the cofactor r, which then has at most two prime factors."""
     n = abs(n)
     p = 2
-    while p * p <= n:
+    while p * p * p <= n:
         if n % (p * p) == 0:
             return False
         while n % p == 0:
             n //= p
         p += 1
-    return True
+    return n == 1 or isqrt(n) ** 2 != n
 
 
 def _common_denominator(vectors):

@@ -60,14 +60,14 @@ def _random_qmatrix(field, unit, rng, n):
     return QMatrix(field, entries)
 
 
-def criterion_commutation(seed, pairs=200):
+def criterion_commutation(seed):
     """x^m x^k == Q(m,k) x^k x^m for seeded random pairs, n in {2,3,4}."""
     rng = random.Random(seed)
     checked = 0
     for field, unit in _eq6_fields():
         for n in (2, 3, 4):
             Q = _random_qmatrix(field, unit, rng, n)
-            for _ in range(pairs):
+            for _ in range(200):
                 m, k = _rand_exp(rng, n), _rand_exp(rng, n)
                 xm = TwistedLaurentElement.monomial(Q, m)
                 xk = TwistedLaurentElement.monomial(Q, k)
@@ -77,7 +77,7 @@ def criterion_commutation(seed, pairs=200):
     return True, {"pairs_checked": checked}
 
 
-def criterion_associativity(seed, triples=200):
+def criterion_associativity(seed):
     """Exact associativity on random 3-term elements and the two-cocycle
 
     identity on random exponent triples."""
@@ -96,7 +96,7 @@ def criterion_associativity(seed, triples=200):
         for n in (2, 3, 4)
     ]
     count = 0
-    for t in range(triples):
+    for t in range(200):
         Q = configs[t % len(configs)]
         a, b, c = rand_element(Q), rand_element(Q), rand_element(Q)
         if (a * b) * c != a * (b * c):
@@ -164,13 +164,13 @@ def criterion_center(seed=0):
     return True, {"commutant_dim_degree2": len(comm2), "commutant_dim_degree3": len(comm3)}
 
 
-def criterion_descent_completeness(seed=0, bound=3):
+def criterion_descent_completeness(seed=0):
     """Every monomial with |m|_inf <= 3 descends for the norm-one swap form."""
     sqrt5 = NumberField.quadratic(5)
     q = 9 + 4 * sqrt5.gen()
     Q = QMatrix(sqrt5, [[1, q], [q.inverse(), 1]])
     action = build_order2_action(Q, sqrt5.galois, [{"swap": [0, 1]}])
-    bases, failures = completeness_sweep(action, bound=bound)
+    bases, failures = completeness_sweep(action, bound=3)
     if failures:
         return False, {"failures": failures[:3]}
     for rep, ib in bases.items():
@@ -179,7 +179,7 @@ def criterion_descent_completeness(seed=0, bound=3):
     return True, {"orbits": len(bases)}
 
 
-def criterion_hilbert90(seed, samples=20):
+def criterion_hilbert90(seed):
     """Random norm-one cocycles split exactly; includes the worked unit."""
     rng = random.Random(seed)
     sqrt5 = NumberField.quadratic(5)
@@ -191,7 +191,7 @@ def criterion_hilbert90(seed, samples=20):
     for field in (sqrt5, zeta3):
         sigma = field.galois.elements[1]
         done = 0
-        while done < samples:
+        while done < 20:
             c = field.element([rng.randint(-9, 9) for _ in range(field.degree)])
             if not c:
                 continue
@@ -200,7 +200,7 @@ def criterion_hilbert90(seed, samples=20):
             if sigma(gamma) * gamma.inverse() != val:
                 return False, {"stage": "identity", "field": field.kind}
             done += 1
-    return True, {"samples_per_field": samples}
+    return True, {"samples_per_field": 20}
 
 
 def criterion_catalog(seed=0):
@@ -325,12 +325,12 @@ def criterion_specializations(seed):
     return True, details
 
 
-def criterion_alternating(seed, count=100):
+def criterion_alternating(seed):
     """Random antisymmetric reductions stay unimodular, exact, and match
 
     the Smith invariant pairing."""
     rng = random.Random(seed)
-    for t in range(count):
+    for t in range(100):
         n = rng.randint(1, 6)
         S = [[0] * n for _ in range(n)]
         for i in range(n):
@@ -355,7 +355,7 @@ def criterion_alternating(seed, count=100):
         paired = sorted([k for k in ks for _ in range(2)] + [0] * zeros)
         if smith_diag != paired:
             return False, {"index": t, "stage": "smith-pairing"}
-    return True, {"matrices_checked": count}
+    return True, {"matrices_checked": 100}
 
 
 def criterion_witnesses(seed=0):

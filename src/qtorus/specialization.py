@@ -20,7 +20,6 @@ from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
 
-from . import _linalg
 from .descent import (
     _fixed_point_basis,
     central_lattice,
@@ -140,11 +139,12 @@ class FiniteDimAlgebra:
     * the rational form built by ``rational_form``: transported from its
       L-form through an injective unital ring map (``_transported``).
 
-    ``center_dim`` is exact on graded monomial tables and raises on any
-    other; a rational form's center and radical are its L-form's.
+    ``center_dim`` and ``radical_dim`` are counts on the target array of a
+    graded monomial table and raise on any other; a rational form's center
+    and radical are its L-form's.
     """
 
-    __slots__ = ("field", "labels", "table", "unit", "is_monomial", "is_graded")
+    __slots__ = ("field", "labels", "table", "unit", "is_monomial", "is_graded", "_tgt")
 
     def __init__(self, field, labels, table, unit):
         self.field = field
@@ -181,17 +181,19 @@ class FiniteDimAlgebra:
         e_h e_g have one target or are both zero, and for each h distinct g give
         distinct targets (every L-form).  Then sum a_g e_g commutes with e_h iff
         a_g c(g, h) == a_g c(h, g) for every g, so central monomials span the center.
+        A monomial table keeps its targets as ``_tgt``: (n+1) x (n+1), n for zero.
         """
         self.is_monomial = all(len(t) <= 1 for t in self.table.values())
         self.is_graded = False
+        self._tgt = None
         if self.is_monomial:
             n = self.dim
-            tgt = [[n] * n for _ in range(n)]
+            tgt = self._tgt = [[n] * (n + 1) for _ in range(n + 1)]
             for (i, j), t in self.table.items():
                 for k in t:
                     tgt[i][j] = k
             self.is_graded = tgt == [list(col) for col in zip(*tgt)] and all(
-                len(set(row) - {n}) == n - row.count(n) for row in tgt
+                len(set(row) - {n}) == n + 1 - row.count(n) for row in tgt
             )
 
     @property
@@ -269,11 +271,10 @@ class FiniteDimAlgebra:
             return got
 
         zero = intern(self.field.zero())
-        tgt = [[n] * (n + 1) for _ in range(n + 1)]
+        tgt = self._tgt
         cid = [[zero] * (n + 1) for _ in range(n + 1)]
         for (i, j), targets in self.table.items():
-            for k, c in targets.items():
-                tgt[i][j] = k
+            for c in targets.values():
                 cid[i][j] = intern(c)
         m = len(vals)
         P = [[intern(vals[x] * vals[y]) for y in range(m)] for x in range(m)]
@@ -302,32 +303,24 @@ class FiniteDimAlgebra:
         return sum(all(self.table[(g, h)] == self.table[(h, g)] for h in range(n)) for g in range(n))
 
     def radical_dim(self):
-        """Kernel dimension of the trace form of left multiplication.
+        """Dimension of the radical: the rows of ``_tgt`` that reach no index of
+        the unit, counted on a graded table; any other table raises.
 
-        Valid as a radical test over coefficient fields of characteristic
-        zero, which is the only case this library constructs.
+        In characteristic zero (all this library builds) the radical is the
+        kernel of the trace form tr(L_(xy)).  Let the unit be the sum of u_z e_z
+        over z in Z.  Distinct rows give distinct targets in each column, so
+        unit * e_g has no cancelling terms: e_g = u_z e_z e_g for one z = z(g)
+        in Z, and e_z e_g = 0 for the others.  Row g reaches target g at z(g),
+        so by gradedness at no other k: tr(L_(e_k)) is |z^-1(k)| / u_k on Z and
+        0 off it, and tr(L_(e_i e_j)) != 0 exactly where e_i e_j lands in Z.
+        Row i reaches Z at most once: at w, associativity and e_i = u e_z(i) e_i
+        give z(w) = z(i), and z(z(w)) = w by symmetry.  So does each column, by
+        symmetry, and the trace form's rank is the number of rows that reach Z.
         """
-        n = self.dim
-        zero = self.field.zero()
-        tr = []
-        for k in range(n):
-            s = zero
-            for g in range(n):
-                c = self.table[(k, g)].get(g)
-                if c is not None:
-                    s = s + c
-            tr.append(s)
-        gram = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                s = zero
-                for k, c in self.table[(i, j)].items():
-                    if tr[k]:
-                        s = s + c * tr[k]
-                row.append(s)
-            gram.append(row)
-        return n - _linalg.rank(gram)
+        if not self.is_graded:
+            raise PreconditionFailure("radical_dim counts rows of a graded table; the table is not graded")
+        unit = set(self.unit)
+        return sum(unit.isdisjoint(row) for row in self._tgt[: self.dim])
 
 
 # ---------------------------------------------------------------------------
@@ -368,12 +361,10 @@ def _quotient_algebra(Q, character):
     return FiniteDimAlgebra(Q.field, labels, table, unit)
 
 
-def embed_monomial(algebra, character, exponent, coeff=None):
-    """Image of coeff * x^exponent in the quotient, as a sparse vector."""
-    field = character.qmatrix.field
+def embed_monomial(algebra, character, exponent):
+    """Image of x^exponent in the quotient, as a sparse vector."""
     r, unit = character.reduce_monomial(tuple(int(x) for x in exponent))
-    c = field.one() if coeff is None else field.element(coeff)
-    return {algebra.labels.index(r): c * unit}
+    return {algebra.labels.index(r): unit}
 
 
 def rational_form(action, character, algebra=None):
@@ -772,7 +763,7 @@ def catalog_case(case, field, q):
 # crossed-product witnesses
 
 
-def crossed_product_witness(case, field, q, order_bound=500):
+def crossed_product_witness(case, field, q):
     """Order-2 witness data for the cyclic structure of a specialization.
 
     For the sign case the witness is y = x2, for the swap case
@@ -781,19 +772,24 @@ def crossed_product_witness(case, field, q, order_bound=500):
     sigma(y^l) * y^l, and the commutation x y = q^e y x with e = +-1.
     Full maximal-subfield certification over the fraction field of the
     center is out of scope; passing witnesses are reported as consistent
-    with a cyclic crossed product, not as a proof of one.
+    with a cyclic crossed product, not as a proof of one.  Every case needs
+    Gal(L/Q) of order 2 and q a unit.
     """
     if case not in (1, 2, 4):
         raise PreconditionFailure("witness construction covers cases 1, 2 and 4 only")
+    if len(field.galois) != 2:
+        raise PreconditionFailure(f"witness needs a Galois group of order 2, not {len(field.galois)}")
+    q = field.element(q)
+    if not q:
+        raise PreconditionFailure("q must be a unit")
     rep = Report(f"crossed-product-witness-case-{case}")
     if case == 1:
         rep.add("trivial-witness", True)
         rep.note("the fixed ring is already a twisted Laurent ring over Q; no witness needed")
         return rep
-    q = field.element(q)
-    l = unit_order(q, order_bound)
+    l = unit_order(q, 500)
     if l is None:
-        raise PreconditionFailure(f"q is not a root of unity up to order {order_bound}")
+        raise PreconditionFailure("q is not a root of unity up to order 500")
     if l % 2 == 0 or l == 1:
         raise PreconditionFailure("witness needs q of odd order at least 3")
     Q = _q_plane(field, q)

@@ -167,6 +167,9 @@ BAD_FLAGS = [
     (["witness", "--case", "2", "--l", "3", "--q", "0,1,5"], "--q"),
     # two fields given
     (["witness", "--case", "2", "--D", "5", "--l", "3", "--q", "0,1"], "--l"),
+    # Gal(Q(zeta_l)/Q) has order 4 or 400, not 2; refused before the field is built
+    (["witness", "--case", "2", "--l", "5", "--q", "0,1"], "--l"),
+    (["witness", "--case", "2", "--l", "1000", "--q", "0,1"], "--l"),
 ]
 
 
@@ -365,6 +368,18 @@ def test_witness_cli():
     assert main(["witness", "--case", "2", "--D", "5", "--q", "9,4"]) == 1
 
 
+def test_witness_q_zero_is_a_precondition_failure(capsys):
+    assert main(["witness", "--case", "2", "--l", "3", "--q", "0"]) == 1
+    assert "precondition failed: q must be a unit" in capsys.readouterr().err
+
+
+def test_catalog_large_squarefree_D_is_fast():
+    # trial division stops at the cube root of the cofactor, not the square root
+    start = time.perf_counter()
+    assert main(["catalog", "--case", "2", "--D", "10000000000000061", "--q", "1"]) == 0
+    assert time.perf_counter() - start < 5.0
+
+
 def test_invariants_cli(tmp_path):
     out_path = tmp_path / "inv.json"
     assert (
@@ -438,3 +453,32 @@ def test_fuzzed_document_exits_cleanly(site, value, command):
     assert code in (0, 1, 2)
     if code == 2:
         assert re.match(r"parse error: (\$|--)", err.getvalue()), err.getvalue()
+
+
+# -- sweep: the flag-only subcommands over every combination ---------------
+
+SWEEP_D = ["-7", "-3", "-1", "2", "3", "5"]
+SWEEP_Q = ["0,1", "1", "-1", "-1/2,1/2", "0", "9,4", "2", "1/2"]
+
+
+def test_flag_sweep_exits_cleanly():
+    # witness and catalog take only flags, so the document fuzz never reaches them
+    fields = [["--l", str(l)] for l in range(2, 13)] + [["--D", D] for D in SWEEP_D]
+    argvs = [["witness", "--case", c] + f for c in ("1", "2", "4") for f in fields]
+    argvs += [["catalog", "--case", c, "--D", D] for c in ("1", "2", "3", "4") for D in SWEEP_D]
+    bad = []
+    for argv in (a + ["--q=" + q] for a in argvs for q in SWEEP_Q):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            except Exception as exc:  # noqa: BLE001 - any escape is the finding
+                code = repr(exc)
+        if code not in (0, 1, 2):
+            bad.append((argv, code))
+        elif code == 2 and not re.match(r"parse error: --", err.getvalue()):
+            bad.append((argv, err.getvalue()))
+    assert len(argvs) * len(SWEEP_Q) == 600
+    assert not bad, bad[:5]

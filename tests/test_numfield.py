@@ -7,6 +7,7 @@ import pytest
 from qtorus.errors import FieldAssumptionViolated
 from qtorus.numfield import (
     NumberField,
+    _is_squarefree,
     find_normal_basis,
     norm,
     norm_trace,
@@ -400,3 +401,18 @@ def test_unit_order_matches_sympy_oracle():
     unit = 9 + 4 * NumberField.quadratic(5).gen()
     assert _sympy_order(unit, 200) is None
     assert unit_order(unit, 200) is None
+
+
+def test_is_squarefree_matches_sympy():
+    # trial division stops at the cube root of the cofactor; the cofactors it
+    # then decides are 1, a prime, p q and p^2, all near the bound here
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(7)
+    primes = [sympy.nextprime(10 ** 5 + rng.randrange(10 ** 4)) for _ in range(12)]
+    ns = list(range(2, 4000)) + [rng.randrange(2, 10 ** 9) for _ in range(500)]
+    for p in primes:
+        ns += [p, p * p, 3 * p * p, p * p * 7 * 11]
+        ns += [p * q for q in primes] + [5 * p * q for q in primes[:3]]
+    for n in ns:
+        want = all(e == 1 for e in sympy.factorint(n).values())
+        assert _is_squarefree(n) == _is_squarefree(-n) == want, n

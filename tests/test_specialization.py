@@ -5,6 +5,7 @@ from math import comb
 
 import pytest
 
+from qtorus import _linalg
 from qtorus.descent import central_lattice
 from qtorus.errors import InconsistentCharacter, PreconditionFailure
 from qtorus.galois_action import build_order2_action, build_trivial_action
@@ -147,6 +148,8 @@ def test_center_dim_raises_off_graded_tables(zeta3):
         assert not alg.is_graded
         with pytest.raises(PreconditionFailure):
             alg.center_dim()
+        with pytest.raises(PreconditionFailure):
+            alg.radical_dim()
     # abelian group tables and truncated polynomial rings are graded
     cyclic6 = _group_table(rationals, tuple(range(6)), lambda g, h: (g + h) % 6)
     assert FiniteDimAlgebra(rationals, range(6), cyclic6, {0: one}).center_dim() == 6
@@ -167,6 +170,79 @@ def sympy_center_dim(alg):
             if any(row):
                 rows.append(row)
     return n - sympy.Matrix(rows).rank() if rows else n
+
+
+def sympy_radical_dim(alg):
+    """Nullity over QQ, in sympy, of the trace form tr(L_(e_i e_j)) of a table over Q."""
+    sympy = pytest.importorskip("sympy")
+    n, zero = alg.dim, sympy.Integer(0)
+
+    def rat(c):
+        x = c.coeffs[0]
+        return sympy.Rational(x.numerator, x.denominator)
+
+    tr = [sum((rat(alg.table[(k, g)][g]) for g in range(n) if g in alg.table[(k, g)]), zero) for k in range(n)]
+    gram = sympy.Matrix(
+        n, n, lambda i, j: sum((rat(c) * tr[k] for k, c in alg.table[(i, j)].items()), zero)
+    )
+    return n - gram.rank()
+
+
+def trace_form_nullity(alg):
+    """n minus the rank of the trace form tr(L_(e_i e_j)), over the table's own field."""
+    n, zero = alg.dim, alg.field.zero()
+    tr = [sum((alg.table[(k, g)].get(g, zero) for g in range(n)), zero) for k in range(n)]
+    gram = [
+        [sum((c * tr[k] for k, c in alg.table[(i, j)].items()), zero) for j in range(n)]
+        for i in range(n)
+    ]
+    return n - _linalg.rank(gram)
+
+
+def _rebased(alg, perm, s):
+    """alg in the basis b_k = s e_perm[k], so its unit u e_z becomes (u / s) b_k with perm[k] = z."""
+    n, s = alg.dim, alg.field.from_rational(s)
+    at = {p: k for k, p in enumerate(perm)}
+    table = {
+        (i, j): {at[t]: s * c for t, c in alg.table[(perm[i], perm[j])].items()}
+        for i in range(n)
+        for j in range(n)
+    }
+    return FiniteDimAlgebra(alg.field, range(n), table, {at[t]: c / s for t, c in alg.unit.items()})
+
+
+def _direct_sum(a, b):
+    """a x b, with b's basis after a's: the unit has one index in each."""
+    n, m = a.dim, b.dim
+    table = {(i, j): {} for i in range(n + m) for j in range(n + m)}
+    table.update(a.table)
+    table.update({(n + i, n + j): {n + k: c for k, c in t.items()} for (i, j), t in b.table.items()})
+    unit = {**a.unit, **{n + k: c for k, c in b.unit.items()}}
+    return FiniteDimAlgebra(a.field, range(n + m), table, unit)
+
+
+def test_radical_dim_counts_rows_off_the_unit(zeta3):
+    # the count of rows that never reach the unit's index, against the trace-form
+    # nullity it replaced, with the unit at index 0, at index 2 and at two indices
+    cases = [(_graded_line(zeta3, m), m - 1) for m in range(1, 7)]
+    cases += [
+        (commutative_cyclic(zeta3, 4, 0), 3),
+        (truncated_line(zeta3), 1),
+        (cyclic_algebra(zeta3, 3, 0, 3, zeta3.gen()), 6),
+        (_rebased(_graded_line(zeta3, 4), (1, 3, 0, 2), 2), 3),
+        (_direct_sum(commutative_cyclic(zeta3, 3, 2), truncated_line(zeta3)), 1),
+        (_direct_sum(truncated_line(zeta3), _graded_line(zeta3, 3)), 3),
+    ]
+    for l, S, values in (
+        (3, [[0, 1, 2], [-1, 0, 2], [-2, -2, 0]], [2, 2, -1]),
+        (4, [[0, 1, -1], [-1, 0, -1], [1, 1, 0]], [3, 3, -1]),
+    ):
+        action, char = _swap_rung(NumberField.cyclotomic(l), S, values)
+        cases.append((specialize(action, char, which="l_center"), 0))
+    assert cases[9][0].unit == {2: zeta3.from_rational(Fraction(1, 2))}
+    for alg, want in cases:
+        assert alg.is_graded
+        assert alg.radical_dim() == trace_form_nullity(alg) == want, alg.labels
 
 
 def test_construction_checks_every_triple(monkeypatch):
@@ -272,11 +348,11 @@ def test_cocycle_kernel_matches_generic_check():
             tables.extend((line, t) for t in _zero_corruptions(line, rng))
     failures = 0
     for alg, table in tables:
-        kernel = FiniteDimAlgebra(alg.field, alg.labels, alg.table, alg.unit)
-        generic = FiniteDimAlgebra(alg.field, alg.labels, alg.table, alg.unit)
+        # stored as given and classified, so the kernel reads this table's targets
+        kernel = FiniteDimAlgebra._transported(alg.field, alg.labels, table, alg.unit)
+        generic = FiniteDimAlgebra._transported(alg.field, alg.labels, table, alg.unit)
         assert kernel.is_monomial
         generic.is_monomial = False
-        kernel.table = generic.table = table
         want = generic.check_associativity()
         assert kernel.check_associativity() == want, alg.labels
         failures += not want[0]
@@ -325,7 +401,7 @@ def test_rational_form_swap(swap3):
     # rational central simplicity at the checkable level: the k-form's
     # commutator nullity is the L-form's center, as transport says
     assert sympy_center_dim(alg_k) == alg_L.center_dim() == 1
-    assert alg_k.radical_dim() == 0
+    assert sympy_radical_dim(alg_k) == alg_L.radical_dim() == 0
     check_rational_form_embeds(swap3, char, alg_L, alg_k, embedding)
 
 
@@ -531,6 +607,21 @@ def test_crossed_product_witness_preconditions(zeta3):
         crossed_product_witness(2, sqrt5, sqrt5.from_rational(-1))
     with pytest.raises(PreconditionFailure):
         crossed_product_witness(3, zeta3, zeta3.gen())
+
+
+@pytest.mark.parametrize("case", [1, 2, 4])
+def test_crossed_product_witness_needs_a_unit_q(zeta3, case):
+    # q = 0 used to reach unit_order, which has no order for zero
+    with pytest.raises(PreconditionFailure, match="q must be a unit"):
+        crossed_product_witness(case, zeta3, zeta3.zero())
+
+
+@pytest.mark.parametrize("case", [1, 2, 4])
+def test_crossed_product_witness_needs_galois_order_two(case):
+    # Gal(Q(zeta5)/Q) has order 4; build_order2_action used to raise a bare ValueError
+    zeta5 = NumberField.cyclotomic(5)
+    with pytest.raises(PreconditionFailure, match="order 2"):
+        crossed_product_witness(case, zeta5, zeta5.gen())
 
 
 def test_prop2_shape_random_l3(zeta3):
