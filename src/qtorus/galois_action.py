@@ -19,16 +19,28 @@ the finite generating data:
 
 Together these certify the identities on the whole algebra, since both
 sides of each identity are multiplicative and biadditive.
+
+An action is immutable once constructed, so ``monomial_image`` keeps each
+image it computes, keyed by (sigma index, m): a kept image is exactly the
+value ``power_product`` would return again.  ``apply``, ``gamma`` and the
+descent and specialization callers all go through it.  At most
+``IMAGE_CACHE_LIMIT`` images are kept per action; past that, images are
+computed afresh, so a large sweep costs time, not unbounded memory.
 """
 
 from __future__ import annotations
 
 import random
+from itertools import product
 
 from .errors import CompatibilityFailure
 from .report import Report
 from .torus import TwistedLaurentElement
 from .zlattice import det_bareiss, identity_matrix, mat_mul
+
+# the most sigma-images one action keeps: about 270 bytes each over a
+# degree-2 field, so about 4 MB when full
+IMAGE_CACHE_LIMIT = 1 << 14
 
 
 class TorusModule:
@@ -98,13 +110,14 @@ class GammaCocycle:
 class SemilinearAction:
     """A validated semilinear action of Gal(L/Q) on L_Q[x1^+-1, ..., xn^+-1]."""
 
-    __slots__ = ("galois", "module", "cocycle", "qmatrix")
+    __slots__ = ("galois", "module", "cocycle", "qmatrix", "_images")
 
     def __init__(self, galois, module, cocycle, qmatrix):
         self.galois = galois
         self.module = module
         self.cocycle = cocycle
         self.qmatrix = qmatrix
+        self._images = {}
         self._check_compatibility()
         self._check_composition()
 
@@ -119,10 +132,16 @@ class SemilinearAction:
 
     def monomial_image(self, idx, m):
         """(exponent, coefficient) of sigma(x^m) = prod_i sigma(x_i)^(m_i), normal-ordered."""
-        gam = self.cocycle.values[idx]
-        return self.qmatrix.power_product(
-            (gam[i], self.module.column(idx, i), e) for i, e in enumerate(m)
-        )
+        key = (idx, tuple(m))
+        got = self._images.get(key)
+        if got is None:
+            gam = self.cocycle.values[idx]
+            got = self.qmatrix.power_product(
+                (gam[i], self.module.column(idx, i), e) for i, e in enumerate(m)
+            )
+            if len(self._images) < IMAGE_CACHE_LIMIT:
+                self._images[key] = got
+        return got
 
     def gamma(self, idx, m):
         """gamma_sigma(m), the unit with sigma(x^m) = gamma * x^(sigma m)."""
@@ -131,10 +150,11 @@ class SemilinearAction:
     def apply(self, idx, element):
         """Apply the idx-th Galois element to an algebra element."""
         sig = self.sigma(idx)
+        one = self.qmatrix.field.one()
         out = {}
         for m, c in element.terms.items():
             exp, coeff = self.monomial_image(idx, m)
-            val = sig(c) * coeff
+            val = sig(c) if coeff is one else sig(c) * coeff
             s = out.get(exp)
             out[exp] = val if s is None else s + val
         return TwistedLaurentElement(self.qmatrix, out)
@@ -341,14 +361,12 @@ def validate_action(action, degree_bound=3, samples=50, seed=0):
     rep.add("cocycle-composition-sampled", witness is None, witness)
 
     witness = None
-    from itertools import product as iproduct
-
-    for m in iproduct(range(-degree_bound, degree_bound + 1), repeat=n):
+    for m in product(range(-degree_bound, degree_bound + 1), repeat=n):
         xm = TwistedLaurentElement.monomial(q, m)
+        images = [action.apply(j, xm) for j in range(len(group))]
         for i in range(len(group)):
             for j in range(len(group)):
-                k = group.compose_idx(i, j)
-                if action.apply(i, action.apply(j, xm)) != action.apply(k, xm):
+                if action.apply(i, images[j]) != images[group.compose_idx(i, j)]:
                     witness = {"sigma": i, "tau": j, "m": list(m)}
                     break
             if witness:
@@ -360,11 +378,13 @@ def validate_action(action, degree_bound=3, samples=50, seed=0):
     witness = None
     for _ in range(samples):
         a, b = _rand_element(action, rng), _rand_element(action, rng)
+        prod, total = a * b, a + b
         for idx in range(len(group)):
-            if action.apply(idx, a * b) != action.apply(idx, a) * action.apply(idx, b):
+            sa, sb = action.apply(idx, a), action.apply(idx, b)
+            if action.apply(idx, prod) != sa * sb:
                 witness = {"sigma": idx, "kind": "multiplicative"}
                 break
-            if action.apply(idx, a + b) != action.apply(idx, a) + action.apply(idx, b):
+            if action.apply(idx, total) != sa + sb:
                 witness = {"sigma": idx, "kind": "additive"}
                 break
         if witness:

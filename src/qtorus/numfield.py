@@ -124,6 +124,11 @@ def _cyclotomic_poly(l):
     return num
 
 
+# the largest |D| that ``NumberField.quadratic`` accepts: ``_is_squarefree``
+# trial-divides up to the cube root of |D|, about 0.5 s at this bound
+QUADRATIC_D_BOUND = 10 ** 18
+
+
 def _is_squarefree(n):
     """Trial division while p^3 <= the cofactor r, which then has at most two prime factors."""
     n = abs(n)
@@ -183,7 +188,9 @@ class NumberField:
 
     @classmethod
     def quadratic(cls, D):
-        """Q(sqrt(D)) for a squarefree integer D not in {0, 1}."""
+        """Q(sqrt(D)) for a squarefree integer D not in {0, 1}, |D| <= 10^18."""
+        if abs(D) > QUADRATIC_D_BOUND:
+            raise ValueError("|D| must be at most 10^18")
         if D in (0, 1) or not _is_squarefree(D):
             raise ValueError("D must be a squarefree integer, not 0 or 1")
         field = cls([-D, 0, 1], "quadratic", D)
@@ -491,10 +498,11 @@ class FieldAutomorphism:
     """Field automorphism determined by the image of t; f(image) must vanish.
 
     sigma(t^j) == _cols[j] / _den, so sigma(a) is one integer
-    matrix-vector product.
+    matrix-vector product.  ``is_identity`` is decided at construction;
+    the identity returns its argument, the value that product would give.
     """
 
-    __slots__ = ("field", "t_image", "_cols", "_den")
+    __slots__ = ("field", "t_image", "is_identity", "_cols", "_den")
 
     def __init__(self, field, t_image):
         t_image = field.element(t_image)
@@ -508,6 +516,7 @@ class FieldAutomorphism:
             raise ValueError("t_image is not a root of the minimal polynomial")
         self.field = field
         self.t_image = t_image
+        self.is_identity = t_image == field.gen()
         pows = [field.one()]
         for _ in range(field.degree - 1):
             pows.append(pows[-1] * t_image)
@@ -516,6 +525,8 @@ class FieldAutomorphism:
     def __call__(self, a):
         field = self.field
         a = field.element(a)
+        if self.is_identity:
+            return a
         out = [0] * field.degree
         for c, col in zip(a.num, self._cols):
             if c:
@@ -526,10 +537,6 @@ class FieldAutomorphism:
     def compose(self, other):
         """self after other: (self . other)(a) = self(other(a))."""
         return FieldAutomorphism(self.field, self(other.t_image))
-
-    @property
-    def is_identity(self):
-        return self.t_image == self.field.gen()
 
     def __eq__(self, other):
         return (

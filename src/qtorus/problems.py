@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .errors import CompatibilityFailure, ProblemFormatError, QTorusError
 from .galois_action import build_action
-from .numfield import NumberField
+from .numfield import QUADRATIC_D_BOUND, NumberField
 from .specialization import CentralCharacter
 from .torus import QMatrix, term_key
 
@@ -60,7 +60,10 @@ def parse_field(doc, path="$.field"):
     kind = doc["kind"]
     try:
         if kind == "quadratic":
-            return NumberField.quadratic(parse_int(doc["D"], f"{path}.D"))
+            D = parse_int(doc["D"], f"{path}.D")
+            if abs(D) > QUADRATIC_D_BOUND:
+                raise ProblemFormatError("|D| must be at most 10^18", f"{path}.D")
+            return NumberField.quadratic(D)
         if kind == "cyclotomic":
             return NumberField.cyclotomic(parse_int(doc["l"], f"{path}.l"))
         if kind == "rational":

@@ -390,7 +390,8 @@ def rational_form(action, character, algebra=None):
     phi(e_i) phi(e_j) is then a list of (target, id) terms read from
     ``algebra.table``.  ``coords_of`` sums them on integer numerators over
     one denominator, reads the coordinates at the pivots of the basis
-    rows, and checks the reconstruction on integers.
+    rows, and checks the reconstruction on integers.  Each distinct output
+    coordinate x / L is built once.
     """
     Q = action.qmatrix
     if algebra is None:
@@ -447,6 +448,16 @@ def rational_form(action, character, algebra=None):
         rows.append((M, row))
         basis_at[min(row)] = b
 
+    rationals = NumberField.rationals()
+    made = {}
+
+    def rational_of(x, L):
+        """The rational x / L, built the first time (x, L) is met."""
+        got = made.get((x, L))
+        if got is None:
+            got = made[(x, L)] = rationals._make((x,), L)
+        return got
+
     def coords_of(terms):
         """Rational coordinates of the sum of vals[z] e_k over (k, z) in terms.
 
@@ -474,7 +485,7 @@ def rational_form(action, character, algebra=None):
                 recon[p] = recon.get(p, 0) + f * r
         if {p: x for p, x in recon.items() if x} != {p: M * x for p, x in w.items()}:
             raise InconsistentCharacter("product left the rational form")
-        return {b: rationals._make((x,), L) for b, x in c}
+        return {b: rational_of(x, L) for b, x in c}
 
     def product_terms(i, j):
         """phi(e_i) phi(e_j) as (target, value id) terms, read from the L-form table."""
@@ -485,7 +496,6 @@ def rational_form(action, character, algebra=None):
                 terms += [(k, times(xy, t)) for k, t in targets[(a, b)]]
         return terms
 
-    rationals = NumberField.rationals()
     table = {(i, j): coords_of(product_terms(i, j)) for i in range(N) for j in range(N)}
     unit = coords_of([(k, intern(c)) for k, c in algebra.unit.items()])
     rational = FiniteDimAlgebra._transported(rationals, tuple(range(N)), table, unit)

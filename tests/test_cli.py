@@ -77,6 +77,7 @@ def _declared(orders):
 # truncate a float
 MALFORMED = [
     (["validate"], {"field": {"kind": "quadratic", "D": 4}}, "$.field"),
+    (["validate"], {"field": {"kind": "quadratic", "D": -(10**21) - 117}}, "$.field.D"),
     (["validate"], _l3("n", "two"), "$.n"),
     (["validate"], _l3("field.l", 3.7), "$.field.l"),
     (["validate"], _l3("q.root_of_unity.l", 3.7), "$.q.root_of_unity.l"),
@@ -170,6 +171,8 @@ BAD_FLAGS = [
     # Gal(Q(zeta_l)/Q) has order 4 or 400, not 2; refused before the field is built
     (["witness", "--case", "2", "--l", "5", "--q", "0,1"], "--l"),
     (["witness", "--case", "2", "--l", "1000", "--q", "0,1"], "--l"),
+    # |D| above 10^18, where the squarefree test would take seconds
+    (["catalog", "--case", "2", "--D", "1000000000000000000117", "--q", "1"], "--D"),
 ]
 
 

@@ -1,10 +1,13 @@
 import random
+from pathlib import Path
 
 import pytest
 
+from qtorus import galois_action
 from qtorus.errors import CompatibilityFailure
 from qtorus.galois_action import (
     GammaCocycle,
+    SemilinearAction,
     TorusModule,
     build_explicit_action,
     build_order2_action,
@@ -13,7 +16,11 @@ from qtorus.galois_action import (
     validate_action,
 )
 from qtorus.numfield import NumberField
+from qtorus.problems import load_json, load_problem
 from qtorus.torus import QMatrix, TwistedLaurentElement
+
+CASES = Path(__file__).resolve().parent.parent / "cases"
+ACTION_CASES = sorted(p.name for p in CASES.glob("*.json") if "action" in load_json(p))
 
 
 def q_plane(field, q):
@@ -220,3 +227,121 @@ def test_gamma_cocycle_validation(sqrt5):
         GammaCocycle(sqrt5, sqrt5.galois, [[one, one], [sqrt5.zero(), one]])
     with pytest.raises(ValueError):
         GammaCocycle(sqrt5, sqrt5.galois, [[one, 2 * one], [one, one]])
+
+
+def uncached_image(action, idx, m):
+    gam = action.cocycle.values[idx]
+    return action.qmatrix.power_product(
+        (gam[i], action.module.column(idx, i), e) for i, e in enumerate(m)
+    )
+
+
+@pytest.mark.parametrize("name", ACTION_CASES + ["rotation5"])
+def test_cached_image_matches_power_product(name, request):
+    # a kept image is the value power_product gives, and a second call returns it
+    if name == "rotation5":
+        action = request.getfixturevalue("rotation5")
+    else:
+        action = load_problem(CASES / name).action
+    rng = random.Random(11)
+    for _ in range(60):
+        m = tuple(rng.randint(-5, 5) for _ in range(action.n))
+        for idx in range(len(action.galois)):
+            want = uncached_image(action, idx, m)
+            first = action.monomial_image(idx, m)
+            assert first == want
+            assert action.monomial_image(idx, m) is first
+
+
+def test_capped_cache_gives_the_same_report(monkeypatch):
+    doc = CASES / "n3_decompose.json"
+    want = validate_action(load_problem(doc).action).to_dict()
+    monkeypatch.setattr(galois_action, "IMAGE_CACHE_LIMIT", 7)
+    action = load_problem(doc).action
+    assert validate_action(action).to_dict() == want
+    assert len(action._images) <= 7
+
+
+class UncheckedAction(SemilinearAction):
+    """An action that skips both construction certificates, so validate_action sees its faults."""
+
+    def _check_compatibility(self):
+        pass
+
+    def _check_composition(self):
+        pass
+
+
+def test_validate_keeps_first_witnesses_of_a_broken_action(zeta3):
+    # the inputs of test_permutation_incompatibility_witness, built without certificates;
+    # the report is the one validate_action gave before images were cached
+    z = zeta3.gen()
+    Q = QMatrix(zeta3, [[1, z, z], [z * z, 1, z], [z * z, z * z, 1]])
+    swap = [[[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[0, 1, 0], [1, 0, 0], [0, 0, 1]]]
+    module = TorusModule(zeta3.galois, swap)
+    action = UncheckedAction(zeta3.galois, module, GammaCocycle.trivial(zeta3, zeta3.galois, 3), Q)
+    assert [c.to_dict() for c in validate_action(action).checks] == [
+        {
+            "name": "pairing-compatibility-on-basis",
+            "status": "fail",
+            "witness": {"sigma": 1, "i": 0, "j": 2},
+        },
+        {
+            "name": "pairing-compatibility-sampled",
+            "status": "fail",
+            "witness": {"sigma": 1, "m": [1, 0, 0], "k": [3, 3, -1]},
+        },
+        {"name": "cocycle-composition-sampled", "status": "pass"},
+        {"name": "group-law-on-monomials", "status": "pass"},
+        {
+            "name": "ring-automorphism-sampled",
+            "status": "fail",
+            "witness": {"sigma": 1, "kind": "multiplicative"},
+        },
+    ]
+
+
+def test_validate_keeps_first_witnesses_of_a_broken_cocycle(sqrt5):
+    # the inputs of test_corrupted_explicit_cocycle_rejected, built without certificates;
+    # the report is the one validate_action gave before images were cached
+    Q = q_plane(sqrt5, sqrt5.from_rational(7))
+    module = TorusModule(sqrt5.galois, [[[1, 0], [0, 1]], [[1, 0], [0, 1]]])
+    one = sqrt5.one()
+    cocycle = GammaCocycle(sqrt5, sqrt5.galois, [[one, one], [sqrt5.gen(), one]])
+    action = UncheckedAction(sqrt5.galois, module, cocycle, Q)
+    assert [c.to_dict() for c in validate_action(action).checks] == [
+        {"name": "pairing-compatibility-on-basis", "status": "pass"},
+        {"name": "pairing-compatibility-sampled", "status": "pass"},
+        {
+            "name": "cocycle-composition-sampled",
+            "status": "fail",
+            "witness": {"sigma": 1, "tau": 1, "m": [-3, 2]},
+        },
+        {
+            "name": "group-law-on-monomials",
+            "status": "fail",
+            "witness": {"sigma": 1, "tau": 1, "m": [-3, -3]},
+        },
+        {"name": "ring-automorphism-sampled", "status": "pass"},
+    ]
+
+
+def test_validate_computes_each_image_and_product_once(monkeypatch):
+    # n3_decompose: 7,328 power products and 200 element products before images were cached
+    action = load_problem(CASES / "n3_decompose.json").action
+    counts = {"power_product": 0, "mul": 0}
+    power_product, mul = QMatrix.power_product, TwistedLaurentElement.__mul__
+
+    def counted_power_product(self, factors):
+        counts["power_product"] += 1
+        return power_product(self, factors)
+
+    def counted_mul(self, other):
+        counts["mul"] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(QMatrix, "power_product", counted_power_product)
+    monkeypatch.setattr(TwistedLaurentElement, "__mul__", counted_mul)
+    assert validate_action(action).ok
+    assert counts["power_product"] <= 1200
+    assert counts["mul"] <= 150

@@ -204,9 +204,24 @@ def test_not_galois_rejected():
 
 
 def test_quadratic_constructor_validation():
-    for bad in (0, 1, 4, 12):
+    for bad in (0, 1, 4, 12, 10**18 + 3, -(10**18) - 3):
         with pytest.raises(ValueError):
             NumberField.quadratic(bad)
+
+
+def test_identity_automorphism_returns_its_argument():
+    rng = random.Random(4)
+    for field in (NumberField.quadratic(5), NumberField.cyclotomic(5), NumberField.rationals()):
+        for aut in field.galois.elements:
+            assert aut.is_identity == (aut.t_image == field.gen())
+        ident = field.galois.elements[field.galois.identity_index]
+        assert ident.is_identity
+        for _ in range(5):
+            a = field.element(
+                [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(field.degree)]
+            )
+            assert ident(a) is a
+        assert ident(Fraction(3, 4)) == field.from_rational(Fraction(3, 4))
 
 
 def test_rationals_field():
