@@ -63,7 +63,10 @@ def parse_field(doc, path="$.field"):
             D = parse_int(doc["D"], f"{path}.D")
             if abs(D) > QUADRATIC_D_BOUND:
                 raise ProblemFormatError("|D| must be at most 10^18", f"{path}.D")
-            return NumberField.quadratic(D)
+            try:
+                return NumberField.quadratic(D)
+            except ValueError as err:
+                raise ProblemFormatError(str(err), f"{path}.D") from err
         if kind == "cyclotomic":
             return NumberField.cyclotomic(parse_int(doc["l"], f"{path}.l"))
         if kind == "rational":

@@ -19,6 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
+from operator import mul
 
 from .descent import (
     _fixed_point_basis,
@@ -31,7 +32,7 @@ from .errors import InconsistentCharacter, PreconditionFailure, VerificationFail
 from .galois_action import build_order2_action, build_trivial_action
 from .numfield import NumberField, norm, unit_order
 from .report import Report
-from .torus import QMatrix, TwistedLaurentElement
+from .torus import QMatrix, TwistedLaurentElement, epsilon_powers
 from .zlattice import alternating_normal_form
 
 
@@ -130,11 +131,15 @@ class FiniteDimAlgebra:
     dicts.  Multiplication tables coming from monomial quotients have a
     single target per product, which enables fast centrality checks.
 
-    Construction checks associativity on every triple, at any dimension;
-    the cost grows as n^3.  Each table gets one certificate:
+    Construction certifies associativity on every triple, at any dimension,
+    never by sampling.  Each table gets one certificate:
 
     * a monomial table (every L-form): the 2-cocycle identity of its
-      coefficients, one row of triples at a time (``_check_cocycle``);
+      coefficients, one row of triples at a time (``_check_cocycle``), with
+      the middle index over a set M that the table certifies to generate it
+      (Light's test, ``_middles``): a proof for every triple at dim^2 |M|
+      cost.  On a quotient of rank n, M is the unit and n generators; a
+      table where M fails its certificate gets the dim^3 scan;
     * any other table: (e_i e_j) e_k == e_i (e_j e_k) through ``mul``;
     * the rational form built by ``rational_form``: transported from its
       L-form through an injective unital ring map (``_transported``).
@@ -252,13 +257,16 @@ class FiniteDimAlgebra:
 
         With e_i e_j = c(i,j) e_ij, each side of (e_i e_j) e_k == e_i (e_j e_k)
         is a target and a product of two coefficients.  Coefficients are
-        interned by exact value, so equal ids mean equal elements, and
-        each pair of ids is multiplied once, into the table ``P``: m^2
-        products for m distinct coefficients, few in a quotient.  A zero
-        product has target n (one past the basis) and the id of zero, so
-        both sides of a zero triple read (n, id of zero).  For each (i, j)
-        the two sides are compared as whole rows over k; a differing row
-        gives its first k.
+        interned by exact value, so equal ids mean equal elements, and each
+        pair of ids is multiplied once, into the rows of ``P`` that the
+        scanned middles read.  A zero product has target n (one past the
+        basis) and the id of zero, so both sides of a zero triple read
+        (n, id of zero).  For each (i, j) the two sides are compared as whole
+        rows over k; a differing row gives its first k.
+
+        The middle index j runs over ``_middles()`` (Light's test).  When a
+        row differs there, the scan reruns over every j, so the witness is
+        the first failing triple in ``product(range(n), repeat=3)`` order.
         """
         n = self.dim
         ids, vals = {}, []
@@ -273,25 +281,79 @@ class FiniteDimAlgebra:
         zero = intern(self.field.zero())
         tgt = self._tgt
         cid = [[zero] * (n + 1) for _ in range(n + 1)]
+        by_object = {}  # a table shares its coefficient objects; hash each once
         for (i, j), targets in self.table.items():
             for c in targets.values():
-                cid[i][j] = intern(c)
-        m = len(vals)
-        P = [[intern(vals[x] * vals[y]) for y in range(m)] for x in range(m)]
-        for i in range(n):
-            ti, ci = tgt[i], cid[i]
-            for j in range(n):
-                a, Pij = ti[j], P[ci[j]]
-                tj, cj = tgt[j], cid[j]
-                left_t, left_p = tgt[a], [Pij[y] for y in cid[a]]
-                right_t = [ti[b] for b in tj]
-                right_p = [P[y][ci[b]] for b, y in zip(tj, cj)]
-                if left_t != right_t or left_p != right_p:
-                    k = next(
-                        k for k in range(n) if (left_t[k], left_p[k]) != (right_t[k], right_p[k])
-                    )
-                    return False, (i, j, k)
-        return True, None
+                got = by_object.get(id(c))
+                if got is None:
+                    got = by_object[id(c)] = intern(c)
+                cid[i][j] = got
+        base = vals[:]
+        P = [None] * len(base)
+
+        def first_failure(middles):
+            # the left side reads the rows cid[i][j], the right side the rows cid[j][k]
+            rows = {cid[i][j] for i in range(n) for j in middles}
+            for x in rows.union(*(cid[j] for j in middles)):
+                if P[x] is None:
+                    v = base[x]
+                    P[x] = [intern(v * y) for y in base]
+            for i in range(n):
+                ti, ci = tgt[i], cid[i]
+                for j in middles:
+                    a, Pij = ti[j], P[ci[j]]
+                    tj, cj = tgt[j], cid[j]
+                    left_t, left_p = tgt[a], [Pij[y] for y in cid[a]]
+                    right_t = [ti[b] for b in tj]
+                    right_p = [P[y][ci[b]] for b, y in zip(tj, cj)]
+                    if left_t != right_t or left_p != right_p:
+                        k = next(
+                            k for k in range(n) if (left_t[k], left_p[k]) != (right_t[k], right_p[k])
+                        )
+                        return i, j, k
+            return None
+
+        middles = self._middles()
+        witness = first_failure(middles)
+        if witness is not None and len(middles) < n:
+            witness = first_failure(range(n))
+        return witness is None, witness
+
+    def _middles(self):
+        """Middle indices for Light's associativity test: the unit's labels and S.
+
+        Light's test (Clifford & Preston, The Algebraic Theory of Semigroups I,
+        section 1.2): the a with (x a) y == x (a y) for all x, y form a
+        subalgebra, so the table is associative once the middles pass and
+        generate it.  S is
+        greedy: the first label not yet reached joins S, and the reached labels
+        are the closure of the unit's labels under right multiplication by S
+        along nonzero products; each is a nonzero multiple of a product of
+        middles.  A label that joins S and stays unreached stops the greedy.
+        The generation certificate: the closure reaches every label, else the
+        middles are all of ``range(n)``, the full scan.
+        """
+        n, tgt = self.dim, self._tgt
+        reached = list(self.unit)
+        seen = set(reached)
+        S = []
+        for x in range(n):
+            if x in seen:
+                continue
+            S.append(x)
+            todo = [(r, x) for r in reached]
+            while todo:
+                r, s = todo.pop()
+                t = tgt[r][s]
+                if t != n and t not in seen:
+                    seen.add(t)
+                    reached.append(t)
+                    todo += [(t, y) for y in S]
+            if x not in seen:
+                break
+        if len(seen) < n:
+            return range(n)
+        return sorted(set(self.unit).union(S))
 
     def center_dim(self):
         """Dimension of the center: the count of central monomials of a graded
@@ -346,18 +408,50 @@ def specialize(action, character, which=None):
 
 
 def _quotient_algebra(Q, character):
-    """e_g e_h = c(g, h) c(r, lam)^-1 chi(lam) e_r, with g + h = r + lam: the two
-    normal-ordering constants are one exponent difference, evaluated once."""
+    """e_g e_h = c(g, h) c(r, lam)^-1 chi(lam) e_r, with g + h = r + lam.
+
+    With q[i][j] = epsilon^S[i][j], c(g, h) = epsilon^(g . v_h) for the
+    integer row v_h[i] = sum_(j < i) S[i][j] h_j, so the coefficient is
+    epsilon^e chi(lam) with e = g . v_h - r . v_lam mod l.  Each distinct sum
+    g + h (a mixed-radix code, as digits never carry) is reduced once, and
+    each distinct (e, lam) costs one field product.  (l, epsilon, S) comes
+    from ``root_of_unity_data``, so the entry orders must be known.
+    """
     lat = character.lattice
-    labels = [tuple(digits) for digits in product(*[range(r) for r in lat.digit_ranges()])]
+    l, eps, S = root_of_unity_data(Q)
+    pows = Q.eps_pows or epsilon_powers(eps, l)
+    n = Q.n
+
+    def row(h):
+        return [sum(S[i][j] * h[j] for j in range(i)) for i in range(n)]
+
+    ranges = lat.digit_ranges()
+    labels = [tuple(digits) for digits in product(*[range(r) for r in ranges])]
     index = {lab: i for i, lab in enumerate(labels)}
+    weights = [1] * n
+    for i in range(n - 1, 0, -1):
+        weights[i - 1] = weights[i] * (2 * ranges[i] - 1)
+    # per sum code: (index of r, r . v_lam, l * id of lam); a coefficient's key is that plus e
+    lam_ids, sums = {}, []
+    for s in product(*[range(2 * r - 1) for r in ranges]):
+        r, lam = lat.reduce(s)
+        lid = lam_ids.setdefault(lam, len(lam_ids))
+        sums.append((index[r], sum(map(mul, r, row(lam))), l * lid))
+    codes = [sum(map(mul, g, weights)) for g in labels]
+    rows = [row(h) for h in labels]
+    lams = list(lam_ids)
+    coeffs = {}
     table = {}
     for i, g in enumerate(labels):
-        for j, h in enumerate(labels):
-            r, lam = lat.reduce(tuple(a + b for a, b in zip(g, h)))
-            exps = [a - b for a, b in zip(Q.cocycle_exponents(g, h), Q.cocycle_exponents(r, lam))]
-            table[(i, j)] = {index[r]: Q.evaluate(exps) * character.value(lam)}
-    unit = {index[(0,) * Q.n]: Q.field.one()}
+        cg = codes[i]
+        for j, vh in enumerate(rows):
+            k, base, key = sums[cg + codes[j]]
+            e = (sum(map(mul, g, vh)) - base) % l
+            c = coeffs.get(key + e)
+            if c is None:
+                c = coeffs[key + e] = pows[e] * character.value(lams[key // l])
+            table[(i, j)] = {k: c}
+    unit = {index[(0,) * n]: Q.field.one()}
     return FiniteDimAlgebra(Q.field, labels, table, unit)
 
 

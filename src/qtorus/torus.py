@@ -25,7 +25,8 @@ q[j][i] = q[i][j]^-1: c(m, k) has the exponent m_i k_j at (i, j), and
 Q(m, k) has m_i k_j - m_j k_i.  So ``QMatrix`` builds every such product
 as an integer exponent vector over those pairs (a whole ``power_product``
 adds into one vector) and evaluates it in the field once, in
-``QMatrix.evaluate``.
+``QMatrix.evaluate``.  With root-of-unity data q[i][j] = epsilon^S[i][j],
+the vector becomes one exponent of epsilon mod l, read from a table.
 """
 
 from __future__ import annotations
@@ -47,11 +48,22 @@ class QMatrix:
     into a field element once, by ``evaluate``: ``cocycle``, ``bihom`` and
     ``power_product`` only add and multiply integers before that call.
     ``qpow`` reduces an exponent modulo the entry's declared order, which
-    construction has checked.
+    construction has checked.  With root-of-unity data, ``evaluate`` reduces
+    sum_t S[pairs[t]] * exps[t] mod l instead and reads ``eps_pows``, the
+    powers epsilon^0 .. epsilon^(l-1) built once (epsilon^0 is the field's
+    shared one).
     """
 
     __slots__ = (
-        "field", "n", "entries", "declared_orders", "root_of_unity", "pairs", "_pow_cache"
+        "field",
+        "n",
+        "entries",
+        "declared_orders",
+        "root_of_unity",
+        "pairs",
+        "eps_pows",
+        "_eps_exps",
+        "_pow_cache",
     )
 
     def __init__(self, field, entries, declared_orders=None, root_of_unity=None):
@@ -98,6 +110,11 @@ class QMatrix:
         self.declared_orders = declared_orders
         self.root_of_unity = root_of_unity
         self.pairs = tuple((i, j) for i in range(1, n) for j in range(i))
+        self.eps_pows = self._eps_exps = None
+        if root_of_unity is not None:
+            l, eps, S = root_of_unity
+            self.eps_pows = epsilon_powers(eps, l)
+            self._eps_exps = tuple(S[i][j] for i, j in self.pairs)
         self._pow_cache = {}
 
     @classmethod
@@ -120,8 +137,12 @@ class QMatrix:
     def evaluate(self, exps):
         """prod_t q[i][j]^exps[t] over the strictly lower pairs (i, j) = self.pairs[t].
 
-        The one place where an exponent vector becomes a field element.
+        The one place where an exponent vector becomes a field element: one
+        table lookup with root-of-unity data, else one product per nonzero pair.
         """
+        pows = self.eps_pows
+        if pows is not None:
+            return pows[sum(s * e for s, e in zip(self._eps_exps, exps)) % len(pows)]
         out = None
         for (i, j), e in zip(self.pairs, exps):
             if e:
@@ -284,11 +305,14 @@ class TwistedLaurentElement:
     def __mul__(self, other):
         if isinstance(other, TwistedLaurentElement):
             q = self.q
+            one = q.field.one()
             out = {}
             for m, c in self.terms.items():
                 for k, d in other.terms.items():
                     exp = tuple(a + b for a, b in zip(m, k))
-                    coeff = c * d * q.cocycle(m, k)
+                    coeff, unit = c * d, q.cocycle(m, k)
+                    if unit is not one:
+                        coeff = coeff * unit
                     s = out.get(exp)
                     out[exp] = coeff if s is None else s + coeff
             return TwistedLaurentElement(q, out)
@@ -357,6 +381,14 @@ class TwistedLaurentElement:
             )
             bits.append(f"({c!r})" + (f"*{mono}" if mono else ""))
         return " + ".join(bits)
+
+
+def epsilon_powers(eps, l):
+    """(epsilon^0, ..., epsilon^(l-1)), with epsilon^0 the field's shared one."""
+    out = [eps.field.one()]
+    for _ in range(l - 1):
+        out.append(out[-1] * eps)
+    return tuple(out)
 
 
 def term_key(m):

@@ -76,7 +76,7 @@ def _declared(orders):
 # error must name); every entry exits 2, none may crash or silently
 # truncate a float
 MALFORMED = [
-    (["validate"], {"field": {"kind": "quadratic", "D": 4}}, "$.field"),
+    (["validate"], {"field": {"kind": "quadratic", "D": 4}}, "$.field.D"),
     (["validate"], {"field": {"kind": "quadratic", "D": -(10**21) - 117}}, "$.field.D"),
     (["validate"], _l3("n", "two"), "$.n"),
     (["validate"], _l3("field.l", 3.7), "$.field.l"),

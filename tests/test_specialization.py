@@ -9,7 +9,7 @@ from qtorus import _linalg
 from qtorus.descent import central_lattice
 from qtorus.errors import InconsistentCharacter, PreconditionFailure
 from qtorus.galois_action import build_order2_action, build_trivial_action
-from qtorus.numfield import NumberField
+from qtorus.numfield import FieldElement, NumberField
 from qtorus.specialization import (
     CentralCharacter,
     FiniteDimAlgebra,
@@ -358,6 +358,60 @@ def test_cocycle_kernel_matches_generic_check():
         failures += not want[0]
     # every corrupted table is caught, and the valid ones pass
     assert failures == 26
+
+
+def test_light_test_falls_back_when_greedy_set_does_not_generate():
+    # L[x]/(x^6) stored with e_5 as its unit: e_5 e_0 = e_5, so the greedy set
+    # {0} reaches nothing new and does not generate.  e_1 e_1 is made 4 e_2
+    # (it is 2 e_2), which breaks only triples whose middle is not 0 or 5
+    field = NumberField.rationals()
+    line = _graded_line(field, 6)
+    table = dict(line.table)
+    table[(1, 1)] = {2: field.from_rational(4)}
+    kernel = FiniteDimAlgebra._transported(field, line.labels, table, {5: field.one()})
+    generic = FiniteDimAlgebra._transported(field, line.labels, table, {5: field.one()})
+    generic.is_monomial = False
+    assert kernel._middles() == range(6)
+    assert kernel.check_associativity() == generic.check_associativity() == (False, (1, 1, 2))
+
+
+def test_light_test_keeps_the_first_witness(zeta3):
+    # the middles of a dim-9 quotient are the unit and x2, x1; after e_5 e_2 is
+    # doubled, the first failing triple has middle 4, outside them
+    Q = QMatrix.from_root_of_unity(zeta3, 3, zeta3.gen(), [[0, 1], [-1, 0]])
+    alg = _quotient_algebra(Q, CentralCharacter.for_l_center(Q, [2, 2]))
+    assert alg._middles() == [0, 1, 3]
+    table = dict(alg.table)
+    ((k, c),) = table[(5, 2)].items()
+    table[(5, 2)] = {k: 2 * c}
+    kernel = FiniteDimAlgebra._transported(zeta3, alg.labels, table, alg.unit)
+    generic = FiniteDimAlgebra._transported(zeta3, alg.labels, table, alg.unit)
+    generic.is_monomial = False
+    assert kernel.check_associativity() == generic.check_associativity() == (False, (1, 4, 2))
+
+
+def test_cocycle_kernel_multiplies_few_coefficient_pairs(monkeypatch):
+    # Z/30 twisted by a random rational coboundary has hundreds of distinct
+    # coefficients; its construction reads the rows of P for the middles 0
+    # and 1 only, not all m^2 products of coefficient pairs
+    field = NumberField.rationals()
+    rng = random.Random(30)
+    n = 30
+    f = [field.one()]
+    f += [field.from_rational(Fraction(rng.randint(1, 99), rng.randint(1, 99))) for _ in range(n - 1)]
+    table = {(i, j): {(i + j) % n: f[i] * f[j] / f[(i + j) % n]} for i in range(n) for j in range(n)}
+    m = len({c for t in table.values() for c in t.values()}) + 1  # and zero
+    calls = []
+    times = FieldElement.__mul__
+
+    def spy(a, b):
+        calls.append(None)
+        return times(a, b)
+
+    monkeypatch.setattr(FieldElement, "__mul__", spy)
+    alg = FiniteDimAlgebra(field, tuple(range(n)), table, {0: field.one()})
+    assert alg._middles() == [0, 1]
+    assert m > 400 and len(calls) < m * m // 10
 
 
 def check_rational_form_embeds(action, char, alg_L, alg_k, embedding):

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -287,6 +288,40 @@ def test_exponent_form_matches_entrywise_products(name):
             coeff = coeff * entrywise(Q, exp, part, lower)
             exp = tuple(a + b for a, b in zip(exp, part))
         assert Q.power_product(factors) == (exp, coeff)
+
+
+def _ladder_matrices():
+    """Every commutation matrix the benchmark ladder draws: unit entries in its S patterns."""
+    out = []
+    for l, n in ((3, 2), (3, 3), (4, 3), (3, 4)):
+        field = NumberField.cyclotomic(l)
+        for s, t, a, b in product((1, -1), repeat=4):
+            if n == 2:
+                S = [[0, s], [-s, 0]]
+            elif n == 3:
+                S = [[0, a, b], [-a, 0, b], [-b, -b, 0]]
+            else:
+                S = [[0, s, a, b], [-s, 0, -b, -a], [-a, b, 0, t], [-b, a, -t, 0]]
+            out.append(QMatrix.from_root_of_unity(field, l, field.gen(), S))
+    return out
+
+
+def test_root_of_unity_evaluate_matches_pairwise_path():
+    # the epsilon-exponent lookup against the product over pairs of the same
+    # matrix without its root-of-unity data, on every such matrix in cases/
+    # and in the ladder
+    matrices = [load_problem(CASES / name).qmatrix for name in Q_CASES]
+    matrices = [Q for Q in matrices if Q.root_of_unity is not None]
+    assert len(matrices) == 4
+    matrices += _ladder_matrices()
+    rng = random.Random(14)
+    for Q in matrices:
+        pairwise = QMatrix(Q.field, Q.entries, declared_orders=Q.declared_orders)
+        assert pairwise.eps_pows is None and Q.eps_pows[0] is Q.field.one()
+        for _ in range(30):
+            exps = [rng.randint(-40, 40) for _ in Q.pairs]
+            assert Q.evaluate(exps) == pairwise.evaluate(exps), exps
+        assert Q.evaluate([0] * len(Q.pairs)) is Q.field.one()
 
 
 def test_qpow_reduces_modulo_declared_order():
