@@ -128,78 +128,107 @@ class FiniteDimAlgebra:
 
     ``table[(i, j)]`` maps a target index to the coefficient of that
     basis element in e_i * e_j; vectors are sparse {index: coefficient}
-    dicts.  Multiplication tables coming from monomial quotients have a
-    single target per product, which enables fast centrality checks.
+    dicts.  The table is stored as given, zero coefficients included.
+    A monomial table (at most one nonzero coefficient per product, every
+    L-form) is also held as three arrays that ``_classify`` fills in one
+    pass, the only code that reads its dict: the target ``_tgt`` and the
+    coefficient id ``_cid`` of each product, and the values ``_vals`` by id.
 
     Construction certifies associativity on every triple, at any dimension,
     never by sampling.  Each table gets one certificate:
 
-    * a monomial table (every L-form): the 2-cocycle identity of its
-      coefficients, one row of triples at a time (``_check_cocycle``), with
-      the middle index over a set M that the table certifies to generate it
-      (Light's test, ``_middles``): a proof for every triple at dim^2 |M|
-      cost.  On a quotient of rank n, M is the unit and n generators; a
-      table where M fails its certificate gets the dim^3 scan;
+    * a monomial table: the 2-cocycle identity of its coefficients, one row
+      of triples at a time (``_check_cocycle``), with the middle index over
+      a set M that the table certifies to generate it (Light's test,
+      ``_middles``): a proof for every triple at dim^2 |M| cost.  On a
+      quotient of rank n, M is the unit and n generators; a table where M
+      fails its certificate gets the dim^3 scan;
     * any other table: (e_i e_j) e_k == e_i (e_j e_k) through ``mul``;
     * the rational form built by ``rational_form``: transported from its
       L-form through an injective unital ring map (``_transported``).
 
-    ``center_dim`` and ``radical_dim`` are counts on the target array of a
-    graded monomial table and raise on any other; a rational form's center
-    and radical are its L-form's.
+    ``center_dim`` and ``radical_dim`` are counts on the arrays of a graded
+    monomial table and raise on any other; a rational form's center and
+    radical are its L-form's.
     """
 
-    __slots__ = ("field", "labels", "table", "unit", "is_monomial", "is_graded", "_tgt")
+    __slots__ = ("field", "labels", "table", "unit", "is_monomial", "is_graded", "_tgt", "_cid", "_vals")
 
     def __init__(self, field, labels, table, unit):
         self.field = field
         self.labels = tuple(labels)
-        n = len(self.labels)
-        clean = {key: {k: c for k, c in tg.items() if c} for key, tg in table.items()}
-        for i in range(n):
-            for j in range(n):
-                if (i, j) not in clean:
-                    raise ValueError(f"missing product ({i}, {j})")
-        self.table = clean
+        self.table = table
         self.unit = {k: c for k, c in unit.items() if c}
         self._classify()
-        for j in range(n):
-            ej = {j: field.one()}
-            if self.mul(self.unit, ej) != ej or self.mul(ej, self.unit) != ej:
-                raise ValueError("unit vector does not act as identity")
+        if not self._unit_acts():
+            raise ValueError("unit vector does not act as identity")
         ok, witness = self.check_associativity()
         if not ok:
             raise VerificationFailed("non-associative table", witness=witness)
 
     @classmethod
     def _transported(cls, field, labels, table, unit):
-        """An algebra stored as given: its caller certified an injective map of the
-        basis into an associative algebra, unital and multiplicative on every basis
-        pair, and gives every product with no zero coefficient."""
+        """An algebra stored as given, with no unit or associativity check: its
+        caller certified an injective map of the basis into an associative
+        algebra, unital and multiplicative on every basis pair."""
         self = cls.__new__(cls)
-        self.field, self.labels, self.table, self.unit = field, tuple(labels), table, unit
+        self.field, self.labels, self.table = field, tuple(labels), table
+        self.unit = {k: c for k, c in unit.items() if c}
         self._classify()
         return self
 
     def _classify(self):
-        """Set ``is_monomial``, and ``is_graded``: the table is monomial, e_g e_h and
-        e_h e_g have one target or are both zero, and for each h distinct g give
-        distinct targets (every L-form).  Then sum a_g e_g commutes with e_h iff
-        a_g c(g, h) == a_g c(h, g) for every g, so central monomials span the center.
-        A monomial table keeps its targets as ``_tgt``: (n+1) x (n+1), n for zero.
+        """Check every index, then set ``is_monomial``, ``is_graded`` and the arrays.
+
+        A target or unit index that is not an int in ``range(dim)`` raises
+        ``PreconditionFailure``, and a missing product ``ValueError``.  The
+        table is monomial when every product has at most one nonzero
+        coefficient; it then keeps ``_tgt`` and ``_cid``, (n+1) x (n+1) with
+        row and column n for zero, and ``_vals``, the coefficients interned by
+        exact value (equal ids mean equal elements, ``_vals[0]`` is zero).  A
+        zero coefficient gets the id of zero, so its product gets target n:
+        no coefficient is tested for zero, and each shared coefficient object
+        is hashed once.  Any other table leaves the three arrays None.
+
+        ``is_graded``: the table is monomial, e_g e_h and e_h e_g have one
+        target or are both zero, and for each h distinct g give distinct
+        targets (every L-form).  Then sum a_g e_g commutes with e_h iff
+        a_g c(g, h) == a_g c(h, g) for every g, so central monomials span the
+        center.
         """
-        self.is_monomial = all(len(t) <= 1 for t in self.table.values())
-        self.is_graded = False
-        self._tgt = None
-        if self.is_monomial:
-            n = self.dim
-            tgt = self._tgt = [[n] * (n + 1) for _ in range(n + 1)]
-            for (i, j), t in self.table.items():
-                for k in t:
-                    tgt[i][j] = k
-            self.is_graded = tgt == [list(col) for col in zip(*tgt)] and all(
-                len(set(row) - {n}) == n + 1 - row.count(n) for row in tgt
-            )
+        n, table = self.dim, self.table
+        for z in self.unit:
+            if z.__class__ is not int or not 0 <= z < n:
+                raise PreconditionFailure(f"unit index {z!r} is not in range({n})")
+        zero = self.field.zero()
+        vals, ids, by_object = [zero], {zero: 0}, {}
+        tgt = [[n] * (n + 1) for _ in range(n + 1)]
+        cid = [[0] * (n + 1) for _ in range(n + 1)]
+        monomial = True
+        for i in range(n):
+            ti, ci = tgt[i], cid[i]
+            for j in range(n):
+                t = table.get((i, j))
+                if t is None:
+                    raise ValueError(f"missing product ({i}, {j})")
+                for k, c in t.items():
+                    if k.__class__ is not int or not 0 <= k < n:
+                        raise PreconditionFailure(f"product ({i}, {j}) has target {k!r}, not in range({n})")
+                    if monomial:
+                        got = by_object.get(id(c))
+                        if got is None:
+                            got = by_object[id(c)] = ids.setdefault(c, len(vals))
+                            if got == len(vals):
+                                vals.append(c)
+                        if got:
+                            monomial = ti[j] == n
+                            ti[j], ci[j] = k, got
+        self.is_monomial = monomial
+        self.is_graded = monomial and (
+            tgt == [list(col) for col in zip(*tgt)]
+            and all(len(set(row) - {n}) == n + 1 - row.count(n) for row in tgt)
+        )
+        self._tgt, self._cid, self._vals = (tgt, cid, vals) if monomial else (None, None, None)
 
     @property
     def dim(self):
@@ -237,6 +266,28 @@ class FiniteDimAlgebra:
         scaled = {k: c * w for k, w in self.unit.items()}
         return c if scaled == vec else None
 
+    def _unit_acts(self):
+        """Whether unit * e_j == e_j == e_j * unit for every j.
+
+        A monomial table sums u_z c(z, j) e_(zj) and u_z c(j, z) e_(jz) over the
+        unit's indices z off its arrays, where a zero product has target n and
+        is dropped; any other table multiplies through ``mul``.
+        """
+        n, one, unit = self.dim, self.field.one(), self.unit
+        if not self.is_monomial:
+            return all(self.mul(unit, {j: one}) == {j: one} == self.mul({j: one}, unit) for j in range(n))
+        tgt, cid, vals = self._tgt, self._cid, self._vals
+        for j in range(n):
+            for pairs in ([(z, j) for z in unit], [(j, z) for z in unit]):
+                got = {}
+                for (a, b), u in zip(pairs, unit.values()):
+                    k = tgt[a][b]
+                    got[k] = got.get(k, vals[0]) + u * vals[cid[a][b]]
+                got.pop(n, None)
+                if got.pop(j, vals[0]) != one or any(got.values()):
+                    return False
+        return True
+
     def check_associativity(self):
         """(True, None), or (False, the first triple (i, j, k) that fails).
 
@@ -256,20 +307,23 @@ class FiniteDimAlgebra:
         """Associativity of a monomial table: c(i,j) c(ij,k) == c(j,k) c(i,jk).
 
         With e_i e_j = c(i,j) e_ij, each side of (e_i e_j) e_k == e_i (e_j e_k)
-        is a target and a product of two coefficients.  Coefficients are
-        interned by exact value, so equal ids mean equal elements, and each
-        pair of ids is multiplied once, into the rows of ``P`` that the
-        scanned middles read.  A zero product has target n (one past the
-        basis) and the id of zero, so both sides of a zero triple read
-        (n, id of zero).  For each (i, j) the two sides are compared as whole
-        rows over k; a differing row gives its first k.
+        is a target and a product of two coefficients.  The coefficients' ids
+        are ``_classify``'s, so equal ids mean equal elements; each pair of ids
+        is multiplied once, into the rows of ``P`` that the scanned middles
+        read, and the product is interned in a copy of ``_vals``.  A zero
+        product has target n (one past the basis) and the id of zero, so both
+        sides of a zero triple read (n, id of zero).  For each (i, j) the two
+        sides are compared as whole rows over k; a differing row gives its
+        first k.
 
         The middle index j runs over ``_middles()`` (Light's test).  When a
         row differs there, the scan reruns over every j, so the witness is
         the first failing triple in ``product(range(n), repeat=3)`` order.
         """
-        n = self.dim
-        ids, vals = {}, []
+        n, tgt, cid = self.dim, self._tgt, self._cid
+        base = self._vals
+        vals = base[:]
+        ids = {c: x for x, c in enumerate(vals)}
 
         def intern(c):
             got = ids.get(c)
@@ -278,17 +332,6 @@ class FiniteDimAlgebra:
                 vals.append(c)
             return got
 
-        zero = intern(self.field.zero())
-        tgt = self._tgt
-        cid = [[zero] * (n + 1) for _ in range(n + 1)]
-        by_object = {}  # a table shares its coefficient objects; hash each once
-        for (i, j), targets in self.table.items():
-            for c in targets.values():
-                got = by_object.get(id(c))
-                if got is None:
-                    got = by_object[id(c)] = intern(c)
-                cid[i][j] = got
-        base = vals[:]
         P = [None] * len(base)
 
         def first_failure(middles):
@@ -361,8 +404,8 @@ class FiniteDimAlgebra:
         form's center has its L-form's dimension (see ``rational_form``)."""
         if not self.is_graded:
             raise PreconditionFailure("center_dim counts central monomials; the table is not graded")
-        n = self.dim
-        return sum(all(self.table[(g, h)] == self.table[(h, g)] for h in range(n)) for g in range(n))
+        n, tgt, cid = self.dim, self._tgt, self._cid
+        return sum(all(tgt[g][h] == tgt[h][g] and cid[g][h] == cid[h][g] for h in range(n)) for g in range(n))
 
     def radical_dim(self):
         """Dimension of the radical: the rows of ``_tgt`` that reach no index of
@@ -478,11 +521,12 @@ def rational_form(action, character, algebra=None):
     With equal dimensions phi (x) L is an isomorphism, so the center and
     radical dimensions of ``algebra`` are the rational form's as well.
 
-    The table runs on interned coefficients and integer coordinates.  Each
-    coefficient of phi and of the L-form table gets an id by exact value,
-    and the product of two ids is computed the first time the pair is met.
-    phi(e_i) phi(e_j) is then a list of (target, id) terms read from
-    ``algebra.table``.  ``coords_of`` sums them on integer numerators over
+    The table runs on interned coefficients and integer coordinates.  Ids
+    start from the L-form's ``_vals``, each coefficient of phi gets one by
+    exact value, and the product of two ids is computed the first time the
+    pair is met.  phi(e_i) phi(e_j) is then a list of (target, id) terms
+    read from the L-form's ``_tgt`` and ``_cid``; ``algebra`` must be a
+    monomial table.  ``coords_of`` sums them on integer numerators over
     one denominator, reads the coordinates at the pivots of the basis
     rows, and checks the reconstruction on integers.  Each distinct output
     coordinate x / L is built once.
@@ -490,6 +534,8 @@ def rational_form(action, character, algebra=None):
     Q = action.qmatrix
     if algebra is None:
         algebra = _quotient_algebra(Q, character)
+    if algebra._tgt is None:
+        raise PreconditionFailure("rational form needs a monomial quotient table")
     for v in character.values:
         if not v.is_rational():
             raise PreconditionFailure("rational form needs rational character values")
@@ -529,8 +575,10 @@ def rational_form(action, character, algebra=None):
             got = memo[(x, y)] = intern(vals[x] * vals[y])
         return got
 
+    for c in algebra._vals:
+        intern(c)  # so an id of the L-form's _cid is an id here too
+    tgt, cid = algebra._tgt, algebra._cid
     phi = [[(index[lab], intern(c)) for lab, c in v.items()] for v in vecs]
-    targets = {key: [(k, intern(c)) for k, c in tg.items()] for key, tg in algebra.table.items()}
 
     # each basis row once, over the power basis at position p * d + t: its
     # denominator M_b and integer numerators.  The rows are an RREF, so the
@@ -582,13 +630,13 @@ def rational_form(action, character, algebra=None):
         return {b: rational_of(x, L) for b, x in c}
 
     def product_terms(i, j):
-        """phi(e_i) phi(e_j) as (target, value id) terms, read from the L-form table."""
-        terms = []
-        for a, x in phi[i]:
-            for b, y in phi[j]:
-                xy = times(x, y)
-                terms += [(k, times(xy, t)) for k, t in targets[(a, b)]]
-        return terms
+        """phi(e_i) phi(e_j) as (target, value id) terms, read from the L-form's arrays."""
+        return [
+            (tgt[a][b], times(times(x, y), cid[a][b]))
+            for a, x in phi[i]
+            for b, y in phi[j]
+            if tgt[a][b] != N
+        ]
 
     table = {(i, j): coords_of(product_terms(i, j)) for i in range(N) for j in range(N)}
     unit = coords_of([(k, intern(c)) for k, c in algebra.unit.items()])

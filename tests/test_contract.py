@@ -112,6 +112,38 @@ def test_no_library_call_samples_associativity():
     assert not found, found
 
 
+def attribute_uses(tree, attr):
+    """(enclosing def or class path, 'Load' or 'Store') of every ``x.<attr>`` in a module."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Attribute) and child.attr == attr:
+                found.append((".".join(scope), type(child.ctx).__name__))
+            visit(child, scope)
+
+    visit(tree, ())
+    return found
+
+
+def test_monomial_table_dict_is_read_in_one_place():
+    # a monomial table's dict is interned once, by _classify, into the arrays every
+    # other consumer reads; the dict itself serves only mul and the generic scan
+    uses = set()
+    for name, tree in library_modules():
+        uses.update((name, where, ctx) for where, ctx in attribute_uses(tree, "table"))
+    assert uses == {
+        ("specialization.py", "FiniteDimAlgebra.__init__", "Store"),
+        ("specialization.py", "FiniteDimAlgebra._transported", "Store"),
+        ("specialization.py", "FiniteDimAlgebra._classify", "Load"),
+        ("specialization.py", "FiniteDimAlgebra.mul", "Load"),
+        ("specialization.py", "FiniteDimAlgebra.check_associativity", "Load"),
+    }
+
+
 def test_failed_certificate_raises_verification_failed():
     # e1 e1 = e2 and e2 e1 = e1 but e1 e2 = 0: (e1 e1) e1 != e1 (e1 e1)
     field = NumberField.rationals()

@@ -221,6 +221,16 @@ def _direct_sum(a, b):
     return FiniteDimAlgebra(a.field, range(n + m), table, unit)
 
 
+def _explicit_zeros(table, field):
+    """The table with each zero product written {k: 0} and a zero term added to each other one."""
+    n, zero = max(i for i, _ in table) + 1, field.zero()
+    return {(i, j): {(min(t, default=i + j) + 1) % n: zero, **t} for (i, j), t in table.items()}
+
+
+def _counts(alg):
+    return (alg.center_dim(), alg.radical_dim()) if alg.is_graded else None
+
+
 def test_radical_dim_counts_rows_off_the_unit(zeta3):
     # the count of rows that never reach the unit's index, against the trace-form
     # nullity it replaced, with the unit at index 0, at index 2 and at two indices
@@ -243,6 +253,53 @@ def test_radical_dim_counts_rows_off_the_unit(zeta3):
     for alg, want in cases:
         assert alg.is_graded
         assert alg.radical_dim() == trace_form_nullity(alg) == want, alg.labels
+        # explicit zero coefficients classify like absent ones
+        zeros = FiniteDimAlgebra(alg.field, alg.labels, _explicit_zeros(alg.table, alg.field), alg.unit)
+        assert alg.dim == 1 or zeros.table != alg.table
+        assert (zeros.is_monomial, zeros._tgt, _counts(zeros)) == (True, alg._tgt, _counts(alg))
+        assert trace_form_nullity(zeros) == want
+
+
+def test_malformed_table_raises_precondition_failure():
+    # a target or unit index that is not an int in range(dim) is refused by name,
+    # not left to an IndexError, TypeError, KeyError or a false non-associative verdict
+    field = NumberField.rationals()
+    one = field.one()
+    table = {(0, 0): {0: one}, (0, 1): {1: one}, (1, 0): {1: one}, (1, 1): {0: one}}
+    assert FiniteDimAlgebra(field, (0, 1), table, {0: one}).center_dim() == 2
+    for bad in (3, "x", -1, 2):
+        with pytest.raises(PreconditionFailure, match=r"\(1, 1\)"):
+            FiniteDimAlgebra(field, (0, 1), {**table, (1, 1): {bad: one}}, {0: one})
+    with pytest.raises(PreconditionFailure, match="unit index 5"):
+        FiniteDimAlgebra(field, (0, 1), table, {5: one})
+
+
+def test_construction_keeps_the_table_and_tests_no_entry_for_zero(monkeypatch):
+    # the caller's table is stored as given, and the dim-64 (4, 3) L-form is built
+    # with at most one zero test per distinct coefficient, not one per entry
+    field = NumberField.rationals()
+    table = _group_table(field, tuple(range(3)), lambda g, h: (g + h) % 3)
+    assert FiniteDimAlgebra(field, range(3), table, {0: field.one()}).table is table
+    action, char = _swap_rung(NumberField.cyclotomic(4), [[0, 1, -1], [-1, 0, -1], [1, 1, 0]], [3, 3, -1])
+    calls = []
+    nonzero = FieldElement.__bool__
+
+    def spy(c):
+        calls.append(c)
+        return nonzero(c)
+
+    monkeypatch.setattr(FieldElement, "__bool__", spy)
+    alg = specialize(action, char, which="l_center")
+    monkeypatch.undo()
+    distinct = {c for t in alg.table.values() for c in t.values()}
+    assert alg.dim == 64 and len(calls) <= len(distinct) < 64
+
+
+def test_rational_form_needs_a_monomial_table():
+    action, char = _swap_rung(NumberField.cyclotomic(4), [[0, 1], [-1, 0]], [2, 2])
+    alg_k, _ = rational_form(action, char)
+    with pytest.raises(PreconditionFailure):
+        rational_form(action, char, alg_k)
 
 
 def test_construction_checks_every_triple(monkeypatch):
@@ -348,13 +405,19 @@ def test_cocycle_kernel_matches_generic_check():
             tables.extend((line, t) for t in _zero_corruptions(line, rng))
     failures = 0
     for alg, table in tables:
-        # stored as given and classified, so the kernel reads this table's targets
-        kernel = FiniteDimAlgebra._transported(alg.field, alg.labels, table, alg.unit)
-        generic = FiniteDimAlgebra._transported(alg.field, alg.labels, table, alg.unit)
-        assert kernel.is_monomial
-        generic.is_monomial = False
-        want = generic.check_associativity()
-        assert kernel.check_associativity() == want, alg.labels
+        seen = []
+        # explicit zero coefficients ({k: 0} for {}, {k1: c, k2: 0} for {k1: c})
+        # must classify and check like absent ones
+        for given in (table, _explicit_zeros(table, alg.field)):
+            # stored as given and classified, so the kernel reads this table's targets
+            kernel = FiniteDimAlgebra._transported(alg.field, alg.labels, given, alg.unit)
+            generic = FiniteDimAlgebra._transported(alg.field, alg.labels, given, alg.unit)
+            assert kernel.is_monomial
+            generic.is_monomial = False
+            want = generic.check_associativity()
+            assert kernel.check_associativity() == want, alg.labels
+            seen.append((kernel._tgt, kernel._cid, _counts(kernel), want))
+        assert seen[0] == seen[1], alg.labels
         failures += not want[0]
     # every corrupted table is caught, and the valid ones pass
     assert failures == 26
