@@ -34,6 +34,7 @@ from .problems import (
     lattice_json,
     load_json,
     load_problem,
+    make_field,
     parse_character,
     parse_int_matrix,
     parse_rational,
@@ -216,14 +217,6 @@ def cmd_decompose(args):
     return rep
 
 
-def _field_flag(flag, make, value):
-    """The field ``make(value)`` names; a value it rejects is a parse error at ``flag``."""
-    try:
-        return make(value)
-    except ValueError as err:
-        raise ProblemFormatError(str(err), flag) from err
-
-
 def _q_flag(text, field):
     """The rational coefficients of q given by ``--q``, at most one per power basis element."""
     q = [parse_rational(part.strip(), "--q") for part in text.split(",")]
@@ -233,7 +226,7 @@ def _q_flag(text, field):
 
 
 def cmd_catalog(args):
-    field = _field_flag("--D", NumberField.quadratic, args.D)
+    field = make_field("--D", NumberField.quadratic, args.D)
     return catalog_case(args.case, field, _q_flag(args.q, field))
 
 
@@ -241,7 +234,7 @@ def cmd_witness(args):
     if (args.D is None) == (args.l is None):
         raise ProblemFormatError("give exactly one of --D and --l", "--l")
     if args.D is not None:
-        field = _field_flag("--D", NumberField.quadratic, args.D)
+        field = make_field("--D", NumberField.quadratic, args.D)
     elif args.l in (3, 4, 6):
         field = NumberField.cyclotomic(args.l)
     else:

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .errors import CompatibilityFailure, ProblemFormatError, QTorusError
 from .galois_action import build_action
-from .numfield import QUADRATIC_D_BOUND, NumberField
+from .numfield import NumberField
 from .specialization import CentralCharacter
 from .torus import QMatrix, term_key
 
@@ -54,21 +54,23 @@ def parse_element(fld, value, path):
     return fld.element(coeffs)
 
 
+def make_field(path, make, value):
+    """The field ``make(value)`` names; a value it rejects is a parse error at ``path``."""
+    try:
+        return make(value)
+    except ValueError as err:
+        raise ProblemFormatError(str(err), path) from err
+
+
 def parse_field(doc, path="$.field"):
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ProblemFormatError("field description needs a 'kind'", path)
     kind = doc["kind"]
     try:
         if kind == "quadratic":
-            D = parse_int(doc["D"], f"{path}.D")
-            if abs(D) > QUADRATIC_D_BOUND:
-                raise ProblemFormatError("|D| must be at most 10^18", f"{path}.D")
-            try:
-                return NumberField.quadratic(D)
-            except ValueError as err:
-                raise ProblemFormatError(str(err), f"{path}.D") from err
+            return make_field(f"{path}.D", NumberField.quadratic, parse_int(doc["D"], f"{path}.D"))
         if kind == "cyclotomic":
-            return NumberField.cyclotomic(parse_int(doc["l"], f"{path}.l"))
+            return make_field(f"{path}.l", NumberField.cyclotomic, parse_int(doc["l"], f"{path}.l"))
         if kind == "rational":
             return NumberField.rationals()
         if kind == "custom":

@@ -80,6 +80,9 @@ MALFORMED = [
     (["validate"], {"field": {"kind": "quadratic", "D": -(10**21) - 117}}, "$.field.D"),
     (["validate"], _l3("n", "two"), "$.n"),
     (["validate"], _l3("field.l", 3.7), "$.field.l"),
+    (["validate"], _l3("field.l", 1), "$.field.l"),
+    # building Q(zeta_l) grows as about l^3, so l is bounded before the field is built
+    (["validate"], _l3("field.l", 101), "$.field.l"),
     (["validate"], _l3("q.root_of_unity.l", 3.7), "$.q.root_of_unity.l"),
     (
         ["validate"],

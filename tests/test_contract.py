@@ -144,6 +144,19 @@ def test_monomial_table_dict_is_read_in_one_place():
     }
 
 
+def test_field_product_kernel_is_reached_only_through_mul():
+    # each field builds its product kernel once, at construction, and
+    # FieldElement.__mul__ is its one caller, so every product passes the
+    # entry point that callers and the benchmark's counts see
+    uses = set()
+    for name, tree in library_modules():
+        uses.update((name, where, ctx) for where, ctx in attribute_uses(tree, "_mul"))
+    assert uses == {
+        ("numfield.py", "NumberField.__init__", "Store"),
+        ("numfield.py", "FieldElement.__mul__", "Load"),
+    }
+
+
 def test_failed_certificate_raises_verification_failed():
     # e1 e1 = e2 and e2 e1 = e1 but e1 e2 = 0: (e1 e1) e1 != e1 (e1 e1)
     field = NumberField.rationals()

@@ -6,6 +6,7 @@ import pytest
 
 from qtorus.errors import FieldAssumptionViolated
 from qtorus.numfield import (
+    CYCLOTOMIC_L_BOUND,
     NumberField,
     _is_squarefree,
     find_normal_basis,
@@ -238,6 +239,9 @@ ORACLE_FIELDS = {
     "sqrt5": lambda: NumberField.quadratic(5),
     "i": lambda: NumberField.quadratic(-1),
     "zeta3": lambda: NumberField.cyclotomic(3),
+    # t^2 = -1 (r1 = 0) and t^2 = t - 1 (r1 = +1, where zeta3 has r1 = -1)
+    "zeta4": lambda: NumberField.cyclotomic(4),
+    "zeta6": lambda: NumberField.cyclotomic(6),
     "zeta5": lambda: NumberField.cyclotomic(5),
     "zeta7": lambda: NumberField.cyclotomic(7),
     # t^2 = 1/2: a monic polynomial whose reduction table has denominator 2
@@ -246,6 +250,7 @@ ORACLE_FIELDS = {
     "half_golden": lambda: NumberField.custom(
         [Fraction(-1, 4), Fraction(-1, 2), 1], [[Fraction(1, 2), -1]]
     ),
+    "rationals": NumberField.rationals,
 }
 
 
@@ -253,6 +258,30 @@ def _rand_fraction_elt(field, rng):
     return field.element(
         [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(field.degree)]
     )
+
+
+def _oracle_pairs(field, rng):
+    """Operand pairs for the product oracle.
+
+    Fractional pairs, integral pairs (both denominators 1), mixed pairs, and
+    large elements: (9 + 4t)^40 and (9 + 4t)^-40, which are the unit
+    (9 + 4 sqrt 5)^40 and its inverse in Q(sqrt 5), and 40-digit coefficients.
+    """
+    def big():
+        return field.element(
+            [Fraction(rng.randint(-(10 ** 40), 10 ** 40), rng.randint(1, 10 ** 12))
+             for _ in range(field.degree)]
+        )
+
+    unit = 9 + 4 * field.gen()
+    large = [unit ** 40, big()]
+    if field.galois is not None:
+        large.append(unit ** -40)
+    pairs = [(_rand_fraction_elt(field, rng), _rand_fraction_elt(field, rng)) for _ in range(15)]
+    pairs += [(rand_elt(field, rng), rand_elt(field, rng)) for _ in range(10)]
+    pairs += [(rand_elt(field, rng), _rand_fraction_elt(field, rng)) for _ in range(5)]
+    pairs += [(a, b) for a in large for b in (large[-1], rand_elt(field, rng))]
+    return pairs
 
 
 def _assert_reduced(a):
@@ -282,8 +311,7 @@ def test_arithmetic_matches_sympy_oracle(name):
         assert all(type(c) is Fraction for c in elt.coeffs)
 
     rng = random.Random(sum(map(ord, name)))
-    for _ in range(25):
-        a, b = _rand_fraction_elt(field, rng), _rand_fraction_elt(field, rng)
+    for a, b in _oracle_pairs(field, rng):
         pa, pb = poly(a.coeffs), poly(b.coeffs)
         same(a + b, pa + pb)
         same(a - b, pa - pb)
@@ -295,6 +323,66 @@ def test_arithmetic_matches_sympy_oracle(name):
             same(b / a, pb * pa.invert(f))
         for sigma in field.galois:
             same(sigma(a), pa.compose(poly(sigma.t_image.coeffs)))
+
+
+# the minimal polynomials of the oracle fields, for fields built without a Galois
+# group: building one makes no product, so a wrong product kernel fails the
+# product oracle below and not the field's own construction
+KERNEL_POLYS = {
+    "rationals": [0, 1],
+    "sqrt5": [-5, 0, 1],
+    "i": [1, 0, 1],
+    "zeta3": [1, 1, 1],
+    "zeta6": [1, -1, 1],
+    "zeta5": [1, 1, 1, 1, 1],
+    "sqrt_half": [Fraction(-1, 2), 0, 1],
+    "half_golden": [Fraction(-1, 4), Fraction(-1, 2), 1],
+}
+
+
+def test_kernel_polys_are_the_oracle_fields():
+    for name, poly in KERNEL_POLYS.items():
+        assert ORACLE_FIELDS[name]().min_poly == tuple(map(Fraction, poly)), name
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_POLYS))
+def test_product_kernel_matches_sympy_oracle(name):
+    pytest.importorskip("sympy")
+    field = NumberField(KERNEL_POLYS[name], "custom")
+    f = _sympy_poly(field.min_poly)
+    rng = random.Random(sum(map(ord, name)))
+    for a, b in _oracle_pairs(field, rng):
+        want = (_sympy_poly(a.coeffs) * _sympy_poly(b.coeffs)).rem(f).all_coeffs()[::-1]
+        want = [Fraction(int(c.numerator), int(c.denominator)) for c in want]
+        want += [Fraction(0)] * (field.degree - len(want))
+        for product in (a * b, b * a):
+            _assert_reduced(product)
+            assert product.coeffs == tuple(want), (name, a, b)
+
+
+def test_products_across_two_objects_of_one_field():
+    # a second Q(sqrt 5) object is the same field: its elements coerce, and the
+    # product lies in the left operand's field
+    left, right = NumberField.quadratic(5), NumberField.quadratic(5)
+    rng = random.Random(13)
+    for _ in range(10):
+        a, b = _rand_fraction_elt(left, rng), _rand_fraction_elt(right, rng)
+        ab, ba = a * b, b * a
+        assert ab.field is left and ba.field is right
+        assert ab == ba and ba == ab
+        assert (ab.num, ab.den) == (ba.num, ba.den)
+        assert ab == a * left.element(b.coeffs)
+    with pytest.raises(ValueError):
+        left.gen() * NumberField.quadratic(2).gen()
+    with pytest.raises(ValueError):
+        NumberField.quadratic(2).gen() * left.gen()
+
+
+def test_cyclotomic_index_is_bounded():
+    assert CYCLOTOMIC_L_BOUND == 100
+    for bad in (-3, 0, 1, CYCLOTOMIC_L_BOUND + 1, 400):
+        with pytest.raises(ValueError):
+            NumberField.cyclotomic(bad)
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_FIELDS))
