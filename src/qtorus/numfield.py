@@ -167,20 +167,6 @@ def _product_kernel(field):
     if d == 1:
         def mul(a, b):
             return field._make((a.num[0] * b.num[0],), a.den * b.den)
-    elif d == 2 and rden == 1:
-        ((r0, r1),) = red
-
-        def mul(a, b):
-            a0, a1 = a.num
-            b0, b1 = b.num
-            hi = a1 * b1
-            c0 = a0 * b0 + hi * r0
-            c1 = a0 * b1 + a1 * b0 + hi * r1
-            den = a.den * b.den
-            if den == 1:
-                return FieldElement(field, (c0, c1), 1)
-            g = gcd(den, c0, c1)
-            return FieldElement(field, (c0 // g, c1 // g), den // g)
     elif d == 2:
         ((r0, r1),) = red
 

@@ -235,22 +235,27 @@ def test_rationals_field():
 
 # -- reference oracle: sympy polynomial arithmetic over QQ modulo f ----------
 
+# name -> (minimal polynomial, constructor of the field with its Galois group)
 ORACLE_FIELDS = {
-    "sqrt5": lambda: NumberField.quadratic(5),
-    "i": lambda: NumberField.quadratic(-1),
-    "zeta3": lambda: NumberField.cyclotomic(3),
+    "sqrt5": ([-5, 0, 1], lambda: NumberField.quadratic(5)),
+    "i": ([1, 0, 1], lambda: NumberField.quadratic(-1)),
+    "zeta3": ([1, 1, 1], lambda: NumberField.cyclotomic(3)),
     # t^2 = -1 (r1 = 0) and t^2 = t - 1 (r1 = +1, where zeta3 has r1 = -1)
-    "zeta4": lambda: NumberField.cyclotomic(4),
-    "zeta6": lambda: NumberField.cyclotomic(6),
-    "zeta5": lambda: NumberField.cyclotomic(5),
-    "zeta7": lambda: NumberField.cyclotomic(7),
+    "zeta4": ([1, 0, 1], lambda: NumberField.cyclotomic(4)),
+    "zeta6": ([1, -1, 1], lambda: NumberField.cyclotomic(6)),
+    "zeta5": ([1] * 5, lambda: NumberField.cyclotomic(5)),
+    "zeta7": ([1] * 7, lambda: NumberField.cyclotomic(7)),
     # t^2 = 1/2: a monic polynomial whose reduction table has denominator 2
-    "sqrt_half": lambda: NumberField.custom([Fraction(-1, 2), 0, 1], [[0, -1]]),
-    # t = golden ratio / 2, t^2 = t/2 + 1/4: the conjugate 1/2 - t is not integral in t
-    "half_golden": lambda: NumberField.custom(
-        [Fraction(-1, 4), Fraction(-1, 2), 1], [[Fraction(1, 2), -1]]
+    "sqrt_half": (
+        [Fraction(-1, 2), 0, 1],
+        lambda: NumberField.custom([Fraction(-1, 2), 0, 1], [[0, -1]]),
     ),
-    "rationals": NumberField.rationals,
+    # t = golden ratio / 2, t^2 = t/2 + 1/4: the conjugate 1/2 - t is not integral in t
+    "half_golden": (
+        [Fraction(-1, 4), Fraction(-1, 2), 1],
+        lambda: NumberField.custom([Fraction(-1, 4), Fraction(-1, 2), 1], [[Fraction(1, 2), -1]]),
+    ),
+    "rationals": ([0, 1], NumberField.rationals),
 }
 
 
@@ -274,9 +279,7 @@ def _oracle_pairs(field, rng):
         )
 
     unit = 9 + 4 * field.gen()
-    large = [unit ** 40, big()]
-    if field.galois is not None:
-        large.append(unit ** -40)
+    large = [unit ** 40, big(), unit ** -40]
     pairs = [(_rand_fraction_elt(field, rng), _rand_fraction_elt(field, rng)) for _ in range(15)]
     pairs += [(rand_elt(field, rng), rand_elt(field, rng)) for _ in range(10)]
     pairs += [(rand_elt(field, rng), _rand_fraction_elt(field, rng)) for _ in range(5)]
@@ -293,71 +296,44 @@ def _assert_reduced(a):
 @pytest.mark.parametrize("name", sorted(ORACLE_FIELDS))
 def test_arithmetic_matches_sympy_oracle(name):
     sympy = pytest.importorskip("sympy")
-    field = ORACLE_FIELDS[name]()
+    min_poly, build = ORACLE_FIELDS[name]
     t = sympy.Symbol("t")
     QQ = sympy.QQ
 
     def poly(coeffs):
         return sympy.Poly([QQ(c.numerator, c.denominator) for c in reversed(coeffs)], t, domain=QQ)
 
-    f = poly(field.min_poly)
+    def check(field):
+        f = poly(field.min_poly)
 
-    def same(elt, p):
-        got = p.rem(f).all_coeffs()[::-1]
-        got = [Fraction(int(c.numerator), int(c.denominator)) for c in got]
-        got += [Fraction(0)] * (field.degree - len(got))
-        _assert_reduced(elt)
-        assert elt.coeffs == tuple(got)
-        assert all(type(c) is Fraction for c in elt.coeffs)
+        def same(elt, p):
+            got = p.rem(f).all_coeffs()[::-1]
+            got = [Fraction(int(c.numerator), int(c.denominator)) for c in got]
+            got += [Fraction(0)] * (field.degree - len(got))
+            _assert_reduced(elt)
+            assert elt.coeffs == tuple(got)
+            assert all(type(c) is Fraction for c in elt.coeffs)
 
-    rng = random.Random(sum(map(ord, name)))
-    for a, b in _oracle_pairs(field, rng):
-        pa, pb = poly(a.coeffs), poly(b.coeffs)
-        same(a + b, pa + pb)
-        same(a - b, pa - pb)
-        same(a * b, pa * pb)
-        same(-a, -pa)
-        if a:
-            same(a.inverse(), pa.invert(f))
-            same(a ** -3, pa.invert(f) ** 3)
-            same(b / a, pb * pa.invert(f))
-        for sigma in field.galois:
-            same(sigma(a), pa.compose(poly(sigma.t_image.coeffs)))
+        rng = random.Random(sum(map(ord, name)))
+        for a, b in _oracle_pairs(field, rng):
+            pa, pb = poly(a.coeffs), poly(b.coeffs)
+            same(a + b, pa + pb)
+            same(a - b, pa - pb)
+            same(a * b, pa * pb)
+            same(b * a, pa * pb)
+            same(-a, -pa)
+            if a:
+                same(a.inverse(), pa.invert(f))
+                same(a ** -3, pa.invert(f) ** 3)
+                same(b / a, pb * pa.invert(f))
+            for sigma in field.galois or ():
+                same(sigma(a), pa.compose(poly(sigma.t_image.coeffs)))
 
-
-# the minimal polynomials of the oracle fields, for fields built without a Galois
-# group: building one makes no product, so a wrong product kernel fails the
-# product oracle below and not the field's own construction
-KERNEL_POLYS = {
-    "rationals": [0, 1],
-    "sqrt5": [-5, 0, 1],
-    "i": [1, 0, 1],
-    "zeta3": [1, 1, 1],
-    "zeta6": [1, -1, 1],
-    "zeta5": [1, 1, 1, 1, 1],
-    "sqrt_half": [Fraction(-1, 2), 0, 1],
-    "half_golden": [Fraction(-1, 4), Fraction(-1, 2), 1],
-}
-
-
-def test_kernel_polys_are_the_oracle_fields():
-    for name, poly in KERNEL_POLYS.items():
-        assert ORACLE_FIELDS[name]().min_poly == tuple(map(Fraction, poly)), name
-
-
-@pytest.mark.parametrize("name", sorted(KERNEL_POLYS))
-def test_product_kernel_matches_sympy_oracle(name):
-    pytest.importorskip("sympy")
-    field = NumberField(KERNEL_POLYS[name], "custom")
-    f = _sympy_poly(field.min_poly)
-    rng = random.Random(sum(map(ord, name)))
-    for a, b in _oracle_pairs(field, rng):
-        want = (_sympy_poly(a.coeffs) * _sympy_poly(b.coeffs)).rem(f).all_coeffs()[::-1]
-        want = [Fraction(int(c.numerator), int(c.denominator)) for c in want]
-        want += [Fraction(0)] * (field.degree - len(want))
-        for product in (a * b, b * a):
-            _assert_reduced(product)
-            assert product.coeffs == tuple(want), (name, a, b)
+    # first the field built from f alone: that makes no product and inverts by the
+    # extended gcd, so a wrong product kernel fails on a product here and not while
+    # the Galois group is built
+    check(NumberField(min_poly, "custom"))
+    check(build())
 
 
 def test_products_across_two_objects_of_one_field():
@@ -387,7 +363,7 @@ def test_cyclotomic_index_is_bounded():
 
 @pytest.mark.parametrize("name", sorted(ORACLE_FIELDS))
 def test_equal_elements_have_equal_form_and_hash(name):
-    field = ORACLE_FIELDS[name]()
+    field = ORACLE_FIELDS[name][1]()
     rng = random.Random(len(name))
     for _ in range(25):
         a, b = _rand_fraction_elt(field, rng), _rand_fraction_elt(field, rng)
@@ -409,7 +385,7 @@ def test_equal_elements_have_equal_form_and_hash(name):
 
 @pytest.mark.parametrize("name", sorted(ORACLE_FIELDS))
 def test_galois_elements_sorted_by_fraction_images(name):
-    group = ORACLE_FIELDS[name]().galois
+    group = ORACLE_FIELDS[name][1]().galois
     key = lambda a: (not a.is_identity, a.t_image.coeffs)  # noqa: E731
     assert list(group.elements) == sorted(group.elements, key=key)
     assert group.elements[0].is_identity
