@@ -498,6 +498,8 @@ class FieldElement:
     # -- comparisons ---------------------------------------------------
 
     def __eq__(self, other):
+        if type(other) is FieldElement and other.field is self.field:
+            return self.den == other.den and self.num == other.num
         try:
             o = self._coerce(other)
         except ValueError:

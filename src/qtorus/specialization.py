@@ -134,18 +134,19 @@ class FiniteDimAlgebra:
     pass, the only code that reads its dict: the target ``_tgt`` and the
     coefficient id ``_cid`` of each product, and the values ``_vals`` by id.
 
-    Construction certifies associativity on every triple, at any dimension,
-    never by sampling.  Each table gets one certificate:
+    Construction takes a monomial table only; any other raises
+    ``PreconditionFailure`` naming its first product with two nonzero
+    coefficients.  Associativity is certified on every triple, at any
+    dimension, never by sampling:
 
-    * a monomial table: the 2-cocycle identity of its coefficients, one row
-      of triples at a time (``_check_cocycle``), with the middle index over
-      a set M that the table certifies to generate it (Light's test,
-      ``_middles``): a proof for every triple at dim^2 |M| cost.  On a
+    * a constructed table: the 2-cocycle identity of its coefficients, one
+      row of triples at a time (``check_associativity``), with the middle
+      index over a set M that the table certifies to generate it (Light's
+      test, ``_middles``): a proof for every triple at dim^2 |M| cost.  On a
       quotient of rank n, M is the unit and n generators; a table where M
       fails its certificate gets the dim^3 scan;
-    * any other table: (e_i e_j) e_k == e_i (e_j e_k) through ``mul``;
-    * the rational form built by ``rational_form``: transported from its
-      L-form through an injective unital ring map (``_transported``).
+    * the rational form built by ``rational_form``, not monomial: transported
+      from its L-form through an injective unital ring map (``_transported``).
 
     ``center_dim`` and ``radical_dim`` are counts on the arrays of a graded
     monomial table and raise on any other; a rational form's center and
@@ -159,9 +160,12 @@ class FiniteDimAlgebra:
         self.labels = tuple(labels)
         self.table = table
         self.unit = {k: c for k, c in unit.items() if c}
-        self._classify()
-        if not self._unit_acts():
-            raise ValueError("unit vector does not act as identity")
+        bad = self._classify()
+        if not self.is_monomial:
+            raise PreconditionFailure(f"product {bad} has two nonzero coefficients; the table is not monomial")
+        j = self._unit_fails_at()
+        if j is not None:
+            raise PreconditionFailure(f"unit vector does not act as identity on basis index {j}")
         ok, witness = self.check_associativity()
         if not ok:
             raise VerificationFailed("non-associative table", witness=witness)
@@ -178,17 +182,19 @@ class FiniteDimAlgebra:
         return self
 
     def _classify(self):
-        """Check every index, then set ``is_monomial``, ``is_graded`` and the arrays.
+        """Check every index, set ``is_monomial``, ``is_graded`` and the arrays,
+        and return the first (i, j) whose product has two nonzero coefficients.
 
-        A target or unit index that is not an int in ``range(dim)`` raises
-        ``PreconditionFailure``, and a missing product ``ValueError``.  The
+        A target or unit index that is not an int in ``range(dim)``, or a
+        missing product, raises ``PreconditionFailure``.  The
         table is monomial when every product has at most one nonzero
         coefficient; it then keeps ``_tgt`` and ``_cid``, (n+1) x (n+1) with
         row and column n for zero, and ``_vals``, the coefficients interned by
         exact value (equal ids mean equal elements, ``_vals[0]`` is zero).  A
         zero coefficient gets the id of zero, so its product gets target n:
         no coefficient is tested for zero, and each shared coefficient object
-        is hashed once.  Any other table leaves the three arrays None.
+        is hashed once.  Any other table (only ``_transported`` keeps one)
+        returns its first such product and leaves the three arrays None.
 
         ``is_graded``: the table is monomial, e_g e_h and e_h e_g have one
         target or are both zero, and for each h distinct g give distinct
@@ -204,31 +210,33 @@ class FiniteDimAlgebra:
         vals, ids, by_object = [zero], {zero: 0}, {}
         tgt = [[n] * (n + 1) for _ in range(n + 1)]
         cid = [[0] * (n + 1) for _ in range(n + 1)]
-        monomial = True
+        bad = None
         for i in range(n):
             ti, ci = tgt[i], cid[i]
             for j in range(n):
                 t = table.get((i, j))
                 if t is None:
-                    raise ValueError(f"missing product ({i}, {j})")
+                    raise PreconditionFailure(f"missing product ({i}, {j})")
                 for k, c in t.items():
                     if k.__class__ is not int or not 0 <= k < n:
                         raise PreconditionFailure(f"product ({i}, {j}) has target {k!r}, not in range({n})")
-                    if monomial:
+                    if bad is None:
                         got = by_object.get(id(c))
                         if got is None:
                             got = by_object[id(c)] = ids.setdefault(c, len(vals))
                             if got == len(vals):
                                 vals.append(c)
                         if got:
-                            monomial = ti[j] == n
+                            if ti[j] != n:
+                                bad = (i, j)
                             ti[j], ci[j] = k, got
-        self.is_monomial = monomial
+        self.is_monomial = monomial = bad is None
         self.is_graded = monomial and (
             tgt == [list(col) for col in zip(*tgt)]
             and all(len(set(row) - {n}) == n + 1 - row.count(n) for row in tgt)
         )
         self._tgt, self._cid, self._vals = (tgt, cid, vals) if monomial else (None, None, None)
+        return bad
 
     @property
     def dim(self):
@@ -266,16 +274,14 @@ class FiniteDimAlgebra:
         scaled = {k: c * w for k, w in self.unit.items()}
         return c if scaled == vec else None
 
-    def _unit_acts(self):
-        """Whether unit * e_j == e_j == e_j * unit for every j.
+    def _unit_fails_at(self):
+        """The first j with unit * e_j != e_j or e_j * unit != e_j, or None.
 
-        A monomial table sums u_z c(z, j) e_(zj) and u_z c(j, z) e_(jz) over the
-        unit's indices z off its arrays, where a zero product has target n and
-        is dropped; any other table multiplies through ``mul``.
+        Sums u_z c(z, j) e_(zj) and u_z c(j, z) e_(jz) over the unit's indices
+        z off the arrays of the monomial table, where a zero product has
+        target n and is dropped.
         """
         n, one, unit = self.dim, self.field.one(), self.unit
-        if not self.is_monomial:
-            return all(self.mul(unit, {j: one}) == {j: one} == self.mul({j: one}, unit) for j in range(n))
         tgt, cid, vals = self._tgt, self._cid, self._vals
         for j in range(n):
             for pairs in ([(z, j) for z in unit], [(j, z) for z in unit]):
@@ -285,26 +291,14 @@ class FiniteDimAlgebra:
                     got[k] = got.get(k, vals[0]) + u * vals[cid[a][b]]
                 got.pop(n, None)
                 if got.pop(j, vals[0]) != one or any(got.values()):
-                    return False
-        return True
+                    return j
+        return None
 
     def check_associativity(self):
-        """(True, None), or (False, the first triple (i, j, k) that fails).
-
-        Checks every triple in ``product(range(n), repeat=3)`` order: a
-        monomial table through ``_check_cocycle``, any other through ``mul``.
-        """
-        if self.is_monomial:
-            return self._check_cocycle()
-        for i, j, k in product(range(self.dim), repeat=3):
-            left = self.mul(self.table[(i, j)], self.basis_vec(k))
-            right = self.mul(self.basis_vec(i), self.table[(j, k)])
-            if left != right:
-                return False, (i, j, k)
-        return True, None
-
-    def _check_cocycle(self):
         """Associativity of a monomial table: c(i,j) c(ij,k) == c(j,k) c(i,jk).
+
+        Returns (True, None), or (False, the first triple (i, j, k) that
+        fails); any other table raises ``PreconditionFailure``.
 
         With e_i e_j = c(i,j) e_ij, each side of (e_i e_j) e_k == e_i (e_j e_k)
         is a target and a product of two coefficients.  The coefficients' ids
@@ -320,6 +314,8 @@ class FiniteDimAlgebra:
         row differs there, the scan reruns over every j, so the witness is
         the first failing triple in ``product(range(n), repeat=3)`` order.
         """
+        if not self.is_monomial:
+            raise PreconditionFailure("check_associativity runs the cocycle identity; the table is not monomial")
         n, tgt, cid = self.dim, self._tgt, self._cid
         base = self._vals
         vals = base[:]
@@ -534,7 +530,7 @@ def rational_form(action, character, algebra=None):
     Q = action.qmatrix
     if algebra is None:
         algebra = _quotient_algebra(Q, character)
-    if algebra._tgt is None:
+    if not algebra.is_monomial:
         raise PreconditionFailure("rational form needs a monomial quotient table")
     for v in character.values:
         if not v.is_rational():

@@ -131,7 +131,7 @@ def attribute_uses(tree, attr):
 
 def test_monomial_table_dict_is_read_in_one_place():
     # a monomial table's dict is interned once, by _classify, into the arrays every
-    # other consumer reads; the dict itself serves only mul and the generic scan
+    # other consumer reads; the dict itself serves only mul
     uses = set()
     for name, tree in library_modules():
         uses.update((name, where, ctx) for where, ctx in attribute_uses(tree, "table"))
@@ -140,7 +140,18 @@ def test_monomial_table_dict_is_read_in_one_place():
         ("specialization.py", "FiniteDimAlgebra._transported", "Store"),
         ("specialization.py", "FiniteDimAlgebra._classify", "Load"),
         ("specialization.py", "FiniteDimAlgebra.mul", "Load"),
-        ("specialization.py", "FiniteDimAlgebra.check_associativity", "Load"),
+    }
+
+
+def test_no_certificate_multiplies_through_mul():
+    # associativity and the unit are certified on a monomial table's arrays;
+    # FiniteDimAlgebra.mul serves only powers and the cyclic block relations
+    uses = set()
+    for name, tree in library_modules():
+        uses.update((name, where, ctx) for where, ctx in attribute_uses(tree, "mul"))
+    assert uses == {
+        ("specialization.py", "FiniteDimAlgebra.power", "Load"),
+        ("specialization.py", "cyclic_decomposition", "Load"),
     }
 
 

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 from math import comb
 
 import pytest
@@ -115,35 +115,43 @@ def _group_table(field, elements, op):
     }
 
 
-def test_center_dim_raises_off_graded_tables(zeta3):
-    # the central-monomial count is the center's dimension only on a graded
-    # monomial table; on these it returned 1 (S3, center 3), 0 (upper
-    # triangular 2 x 2, center 1) and 2 (null, center 3), so it must refuse them
-    rationals = NumberField.rationals()
-    one = rationals.one()
+def _ungraded_algebras(field):
+    """Three monomial tables that are not graded, as (labels, table, unit).
+
+    The group algebra of S3; E11, E12, E22 with E11 E12 = E12 = E12 E22, E11
+    and E22 idempotent and all else zero, whose unit has two indices; and
+    1, a, b, c, z with a, b, c pairwise multiplying onto z, e_i e_j = 2 z below
+    the diagonal and z above it: targets agree both ways but not one per g.
+    """
+    one = field.one()
     s3 = sorted(permutations(range(3)))
-    group = FiniteDimAlgebra(
-        rationals, s3, _group_table(rationals, s3, lambda g, h: tuple(g[x] for x in h)), {0: one}
-    )
-    # E11, E12, E22: E11 E12 = E12 = E12 E22, E11 and E22 idempotent, all else zero
+    group = (s3, _group_table(field, s3, lambda g, h: tuple(g[x] for x in h)), {0: one})
     table = {(i, j): {} for i in range(3) for j in range(3)}
     table[(0, 0)], table[(0, 1)], table[(1, 2)], table[(2, 2)] = {0: one}, {1: one}, {1: one}, {2: one}
-    upper = FiniteDimAlgebra(rationals, ("E11", "E12", "E22"), table, {0: one, 2: one})
-    # 1, a, b, c, z with a, b, c pairwise multiplying onto z, e_i e_j = 2 z below the
-    # diagonal and z above it: targets agree both ways but not one per g, and
-    # a - b + c is central, so the center is 3 while the count is 2
+    upper = (("E11", "E12", "E22"), table, {0: one, 2: one})
     table = {(i, j): {} for i in range(5) for j in range(5)}
     for i in range(5):
         table[(0, i)] = table[(i, 0)] = {i: one}
     for i in range(1, 4):
         for j in range(1, 4):
             table[(i, j)] = {4: one * (2 if i > j else 1)}
-    null = FiniteDimAlgebra(rationals, "1abcz", table, {0: one})
+    null = ("1abcz", table, {0: one})
+    return group, upper, null
+
+
+def test_center_dim_raises_off_graded_tables(zeta3):
+    # the central-monomial count is the center's dimension only on a graded
+    # monomial table; on these it returned 1 (S3, center 3), 0 (upper
+    # triangular 2 x 2, center 1) and 2 (null, center 3: a - b + c is
+    # central), so it must refuse them
+    rationals = NumberField.rationals()
+    one = rationals.one()
+    group, upper, null = (FiniteDimAlgebra(rationals, *args) for args in _ungraded_algebras(rationals))
     assert sympy_center_dim(null) == 3
     # a non-monomial table: the transported dim-16 k-form
     action, char = _swap_rung(NumberField.cyclotomic(4), [[0, 1], [-1, 0]], [2, 2])
     alg_k, _ = rational_form(action, char)
-    assert group.is_monomial and upper.is_monomial and null.is_monomial and not alg_k.is_monomial
+    assert not alg_k.is_monomial
     for alg in (group, upper, null, alg_k):
         assert not alg.is_graded
         with pytest.raises(PreconditionFailure):
@@ -272,6 +280,15 @@ def test_malformed_table_raises_precondition_failure():
             FiniteDimAlgebra(field, (0, 1), {**table, (1, 1): {bad: one}}, {0: one})
     with pytest.raises(PreconditionFailure, match="unit index 5"):
         FiniteDimAlgebra(field, (0, 1), table, {5: one})
+    # a missing product, and a unit that does not act as identity, are named too
+    missing = {ij: t for ij, t in table.items() if ij != (1, 1)}
+    with pytest.raises(PreconditionFailure, match=r"missing product \(1, 1\)"):
+        FiniteDimAlgebra(field, (0, 1), missing, {0: one})
+    with pytest.raises(PreconditionFailure, match="identity on basis index 0"):
+        FiniteDimAlgebra(field, (0, 1), table, {0: 2 * one})
+    nil = truncated_line(field)
+    with pytest.raises(PreconditionFailure, match="identity on basis index 0"):
+        FiniteDimAlgebra(field, nil.labels, nil.table, {1: one})
 
 
 def test_construction_keeps_the_table_and_tests_no_entry_for_zero(monkeypatch):
@@ -303,9 +320,9 @@ def test_rational_form_needs_a_monomial_table():
 
 
 def test_construction_checks_every_triple(monkeypatch):
-    # one exhaustive check per constructed table, at any dimension and for any
-    # kind of table; dims 126 and 16 lie above the old monomial (125) and
-    # generic (12) bounds, under which larger tables were checked on 200 triples
+    # one exhaustive check per constructed table, at any dimension; dim 126 lies
+    # above the old monomial bound (125), under which larger tables were checked
+    # on 200 triples.  A table that is not monomial is refused before any check
     calls = []
     check = FiniteDimAlgebra.check_associativity
 
@@ -320,8 +337,10 @@ def test_construction_checks_every_triple(monkeypatch):
     # the L-form is checked at construction; the k-form is certified by transport
     assert calls == [(126, True, (), {}), (16, True, (), {})]
     assert not alg_k.is_monomial
-    assert FiniteDimAlgebra(alg_k.field, alg_k.labels, alg_k.table, alg_k.unit).dim == 16
-    assert calls[2:] == [(16, False, (), {})]
+    first = next(ij for ij in sorted(alg_k.table) if sum(map(bool, alg_k.table[ij].values())) > 1)
+    with pytest.raises(PreconditionFailure, match=rf"product \({first[0]}, {first[1]}\) has two nonzero"):
+        FiniteDimAlgebra(alg_k.field, alg_k.labels, alg_k.table, alg_k.unit)
+    assert len(calls) == 2
 
 
 def _swap_rung(field, S, values):
@@ -387,9 +406,24 @@ def _zero_corruptions(alg, rng):
     return out
 
 
+def generic_associativity(alg):
+    """(True, None), or (False, the first triple (i, j, k) that fails).
+
+    The reference oracle for ``check_associativity``, on any table: compares
+    (e_i e_j) e_k with e_i (e_j e_k) through ``mul`` on every triple, in
+    ``product(range(n), repeat=3)`` order.
+    """
+    for i, j, k in product(range(alg.dim), repeat=3):
+        left = alg.mul(alg.table[(i, j)], alg.basis_vec(k))
+        right = alg.mul(alg.basis_vec(i), alg.table[(j, k)])
+        if left != right:
+            return False, (i, j, k)
+    return True, None
+
+
 def test_cocycle_kernel_matches_generic_check():
-    # the monomial kernel against check_associativity through mul, with
-    # the same triples and the same first failing triple
+    # the cocycle kernel against the generic scan through mul, with the same
+    # triples and the same first failing triple
     rng = random.Random(11)
     tables = []
     for field, l in ((NumberField.cyclotomic(3), 3), (NumberField.cyclotomic(4), 4)):
@@ -403,6 +437,13 @@ def test_cocycle_kernel_matches_generic_check():
             line = _graded_line(field, m)
             tables.append((line, line.table))
             tables.extend((line, t) for t in _zero_corruptions(line, rng))
+    # tables that are not graded (the unit of E11, E12, E22 has two indices),
+    # each also with a nonzero coefficient doubled
+    rationals = NumberField.rationals()
+    for (labels, table, unit), (i, j) in zip(_ungraded_algebras(rationals), ((1, 2), (0, 1), (0, 2))):
+        alg = FiniteDimAlgebra(rationals, labels, table, unit)
+        ((k, c),) = table[(i, j)].items()
+        tables += [(alg, table), (alg, {**table, (i, j): {k: 2 * c}})]
     failures = 0
     for alg, table in tables:
         seen = []
@@ -411,16 +452,14 @@ def test_cocycle_kernel_matches_generic_check():
         for given in (table, _explicit_zeros(table, alg.field)):
             # stored as given and classified, so the kernel reads this table's targets
             kernel = FiniteDimAlgebra._transported(alg.field, alg.labels, given, alg.unit)
-            generic = FiniteDimAlgebra._transported(alg.field, alg.labels, given, alg.unit)
             assert kernel.is_monomial
-            generic.is_monomial = False
-            want = generic.check_associativity()
+            want = generic_associativity(kernel)
             assert kernel.check_associativity() == want, alg.labels
             seen.append((kernel._tgt, kernel._cid, _counts(kernel), want))
         assert seen[0] == seen[1], alg.labels
         failures += not want[0]
     # every corrupted table is caught, and the valid ones pass
-    assert failures == 26
+    assert failures == 29
 
 
 def test_light_test_falls_back_when_greedy_set_does_not_generate():
@@ -432,10 +471,8 @@ def test_light_test_falls_back_when_greedy_set_does_not_generate():
     table = dict(line.table)
     table[(1, 1)] = {2: field.from_rational(4)}
     kernel = FiniteDimAlgebra._transported(field, line.labels, table, {5: field.one()})
-    generic = FiniteDimAlgebra._transported(field, line.labels, table, {5: field.one()})
-    generic.is_monomial = False
     assert kernel._middles() == range(6)
-    assert kernel.check_associativity() == generic.check_associativity() == (False, (1, 1, 2))
+    assert kernel.check_associativity() == generic_associativity(kernel) == (False, (1, 1, 2))
 
 
 def test_light_test_keeps_the_first_witness(zeta3):
@@ -448,9 +485,7 @@ def test_light_test_keeps_the_first_witness(zeta3):
     ((k, c),) = table[(5, 2)].items()
     table[(5, 2)] = {k: 2 * c}
     kernel = FiniteDimAlgebra._transported(zeta3, alg.labels, table, alg.unit)
-    generic = FiniteDimAlgebra._transported(zeta3, alg.labels, table, alg.unit)
-    generic.is_monomial = False
-    assert kernel.check_associativity() == generic.check_associativity() == (False, (1, 4, 2))
+    assert kernel.check_associativity() == generic_associativity(kernel) == (False, (1, 4, 2))
 
 
 def test_cocycle_kernel_multiplies_few_coefficient_pairs(monkeypatch):
@@ -575,18 +610,25 @@ def test_rational_form_rejects_products_outside_its_span(swap3):
 
 
 @pytest.mark.parametrize(
-    "S, values",
-    [([[0, 1], [-1, 0]], [2, 2]), ([[0, 1, 2], [-1, 0, 2], [-2, -2, 0]], [2, 2, -1])],
-    ids=["dim9", "dim27"],
+    "l, S, values",
+    [
+        (3, [[0, 1], [-1, 0]], [2, 2]),
+        (3, [[0, 1, 2], [-1, 0, 2], [-2, -2, 0]], [2, 2, -1]),
+        (4, [[0, 1], [-1, 0]], [2, 2]),
+    ],
+    ids=["dim9", "dim27", "dim16"],
 )
-def test_transported_k_form_passes_generic_check(zeta3, S, values):
-    # the generic check through mul, on every triple, as an oracle for
-    # the associativity that rational_form transports from the L-form
-    action, char = _swap_rung(zeta3, S, values)
+def test_transported_k_form_passes_generic_check(l, S, values):
+    # the generic scan through mul, on every triple, as an oracle for the
+    # associativity that rational_form transports from the L-form; the
+    # library's own check runs only on monomial tables
+    action, char = _swap_rung(NumberField.cyclotomic(l), S, values)
     alg_k, _ = rational_form(action, char)
-    assert alg_k.dim == 3 ** len(S)
+    assert alg_k.dim == l ** len(S)
     assert not alg_k.is_monomial
-    assert alg_k.check_associativity() == (True, None)
+    assert generic_associativity(alg_k) == (True, None)
+    with pytest.raises(PreconditionFailure, match="not monomial"):
+        alg_k.check_associativity()
 
 
 def test_rational_form_requires_rational_values(swap3, zeta3):
