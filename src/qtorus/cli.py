@@ -65,6 +65,16 @@ def _emit(report, args, elapsed):
     return 0 if report.ok else 1
 
 
+# used when neither a flag nor the document's ``options`` sets the value
+DEFAULT_OPTIONS = {"degree_bound": 3, "samples": 50}
+
+
+def _option(spec, args, key):
+    """An explicit flag, else the document's option, else the default."""
+    flag = getattr(args, key)
+    return spec.options.get(key, DEFAULT_OPTIONS[key]) if flag is None else flag
+
+
 def cmd_validate(args):
     rep = Report("validate", inputs={"problem": args.problem})
     try:
@@ -75,8 +85,8 @@ def cmd_validate(args):
     rep.add("construction", True)
     sub = validate_action(
         spec.action,
-        degree_bound=spec.options.get("degree_bound", args.degree_bound),
-        samples=spec.options.get("samples", args.samples),
+        degree_bound=_option(spec, args, "degree_bound"),
+        samples=_option(spec, args, "samples"),
         seed=args.seed,
     )
     rep.extend(sub)
@@ -85,7 +95,7 @@ def cmd_validate(args):
 
 def cmd_invariants(args):
     spec = load_problem(args.problem)
-    bound = spec.options.get("degree_bound", args.degree_bound)
+    bound = _option(spec, args, "degree_bound")
     rep = Report("invariants", inputs={"problem": args.problem, "degree_bound": bound})
     bases, failures = completeness_sweep(spec.action, bound=bound)
     orbits = []
@@ -272,13 +282,13 @@ def build_parser():
 
     p = sub.add_parser("validate", help="re-verify every defining identity of the action")
     common(p)
-    p.add_argument("--degree-bound", type=_int_at_least(0), default=3)
-    p.add_argument("--samples", type=_int_at_least(1), default=50)
+    p.add_argument("--degree-bound", type=_int_at_least(0))
+    p.add_argument("--samples", type=_int_at_least(1))
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("invariants", help="orbit invariant bases with a completeness sweep")
     common(p)
-    p.add_argument("--degree-bound", type=_int_at_least(0), default=3)
+    p.add_argument("--degree-bound", type=_int_at_least(0))
     p.set_defaults(func=cmd_invariants)
 
     p = sub.add_parser("center", help="central lattice and invariant center generators")

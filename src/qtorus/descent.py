@@ -18,11 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from math import gcd
 
 from . import _linalg
 from .errors import OrderUndeclared, SearchExhausted, VerificationFailed
-from .numfield import _ZERO, unit_order
+from .numfield import _ZERO
 from .torus import TwistedLaurentElement, term_key
 from .zlattice import Lattice, kernel_mod
 
@@ -232,58 +231,16 @@ def split_cocycle(galois, gammas, subgroup=None):
 
 
 def root_of_unity_data(Q):
-    """(l, epsilon, S) for Q, synthesized from declared orders if needed.
+    """(l, epsilon, S) for Q, as its construction resolved them.
 
-    When the matrix only carries finite declared orders, the subgroup of
-    L* generated by the entries is finite, hence cyclic; its order is the
-    lcm l of the entry orders.  A generator is found by closing the entry
-    set under products and exponents are recovered by discrete logs.
+    A matrix has this data exactly when the orders of its entries are
+    known, from its root-of-unity form or from declared orders.
     """
-    if Q.root_of_unity is not None:
-        return Q.root_of_unity
-    if Q.declared_orders is None:
+    if Q.root_of_unity is None:
         raise OrderUndeclared(
             "entry orders are unknown; declare them or give the root-of-unity form"
         )
-    l = 1
-    for row in Q.declared_orders:
-        for o in row:
-            l = l * o // gcd(l, o)
-    elems = dict.fromkeys(x for row in Q.entries for x in row)
-    while True:
-        new = {}
-        vals = list(elems)
-        for a in vals:
-            for b in vals:
-                p = a * b
-                if p not in elems:
-                    new[p] = None
-        if not new:
-            break
-        elems.update(new)
-        if len(elems) > l:
-            raise OrderUndeclared("entry group larger than the declared lcm of orders")
-    eps = None
-    for x in sorted(elems, key=lambda x: x.coeffs):
-        if unit_order(x, l) == l:
-            eps = x
-            break
-    if eps is None:
-        raise VerificationFailed("finite subgroup of a field without a generator", witness={"l": l})
-    dlog = {}
-    power = Q.field.one()
-    for e in range(l):
-        dlog[power] = e
-        power = power * eps
-    n = Q.n
-    S = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            s = dlog[Q.entries[i][j]]
-            if s > l // 2:
-                s -= l
-            S[i][j], S[j][i] = s, -s
-    return l, eps, tuple(tuple(row) for row in S)
+    return Q.root_of_unity
 
 
 def central_lattice(Q):

@@ -277,20 +277,6 @@ def build_explicit_action(qmatrix, galois, mats, cocycle_values):
     return SemilinearAction(galois, module, cocycle, qmatrix)
 
 
-def build_action(qmatrix, galois, spec):
-    """Dispatch on a declarative action description (see the CLI schema)."""
-    kind = spec.get("kind")
-    if kind == "permutation":
-        return build_permutation_action(qmatrix, galois, spec["perms"])
-    if kind == "trivial":
-        return build_trivial_action(qmatrix, galois)
-    if kind == "order2":
-        return build_order2_action(qmatrix, galois, spec["blocks"])
-    if kind == "explicit":
-        return build_explicit_action(qmatrix, galois, spec["matrices"], spec["cocycle"])
-    raise ValueError(f"unknown action kind {kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # validation report
 

@@ -15,7 +15,12 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from .errors import CompatibilityFailure, ProblemFormatError, QTorusError
-from .galois_action import build_action
+from .galois_action import (
+    build_explicit_action,
+    build_order2_action,
+    build_permutation_action,
+    build_trivial_action,
+)
 from .numfield import NumberField
 from .specialization import CentralCharacter
 from .torus import QMatrix, term_key
@@ -34,7 +39,8 @@ def parse_int(value, path):
 
 
 def parse_rational(value, path):
-    if isinstance(value, int):
+    """A JSON integer (not a bool) or a "p" / "p/q" string, as a Fraction."""
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str) and _RATIONAL_RE.match(value):
         return Fraction(value)
@@ -191,47 +197,54 @@ def parse_qmatrix(fld, doc, path="$.q"):
 
 
 def parse_action(qmatrix, galois, doc, path="$.action"):
+    """The action ``doc`` describes; a value its builder rejects is a parse error at ``path``."""
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ProblemFormatError("action description needs a 'kind'", path)
-    spec = dict(doc)
     kind = doc["kind"]
     try:
         if kind == "permutation":
             perms = doc["perms"]
             if not isinstance(perms, dict):
                 raise ProblemFormatError("expected an object", f"{path}.perms")
-            spec["perms"] = {
+            perms = {
                 parse_int(k, f"{path}.perms.{k}"): parse_int_list(v, f"{path}.perms.{k}")
                 for k, v in perms.items()
             }
+            build, args = build_permutation_action, (perms,)
+        elif kind == "trivial":
+            build, args = build_trivial_action, ()
         elif kind == "order2":
-            spec["blocks"] = [
+            blocks = [
                 _parse_block(blk, f"{path}.blocks[{i}]")
                 for i, blk in enumerate(parse_array(doc["blocks"], f"{path}.blocks"))
             ]
+            build, args = build_order2_action, (blocks,)
         elif kind == "explicit":
             n = qmatrix.n
-            spec["matrices"] = [
+            matrices = [
                 parse_int_matrix(M, f"{path}.matrices[{i}]")
                 for i, M in enumerate(parse_array(doc["matrices"], f"{path}.matrices"))
             ]
-            for i, M in enumerate(spec["matrices"]):
+            for i, M in enumerate(matrices):
                 if len(M) != n or len(M[0]) != n:
                     raise ProblemFormatError(f"expected {n} x {n}", f"{path}.matrices[{i}]")
-            spec["cocycle"] = [
+            cocycle = [
                 [
                     parse_element(qmatrix.field, v, f"{path}.cocycle[{i}][{j}]")
                     for j, v in enumerate(parse_array(row, f"{path}.cocycle[{i}]"))
                 ]
                 for i, row in enumerate(parse_array(doc["cocycle"], f"{path}.cocycle"))
             ]
-            for i, row in enumerate(spec["cocycle"]):
+            for i, row in enumerate(cocycle):
                 if len(row) != n:
                     raise ProblemFormatError(f"expected {n} values", f"{path}.cocycle[{i}]")
+            build, args = build_explicit_action, (matrices, cocycle)
+        else:
+            raise ProblemFormatError(f"unknown action kind {kind!r}", path)
     except KeyError as err:
         raise ProblemFormatError(f"missing key {err}", path) from err
     try:
-        return build_action(qmatrix, galois, spec)
+        return build(qmatrix, galois, *args)
     except (ValueError, KeyError) as err:
         raise ProblemFormatError(str(err), path) from err
 
@@ -279,7 +292,6 @@ class ProblemSpec:
     character: object = None
     which: str = "l_center"
     options: dict = dc_field(default_factory=dict)
-    document: dict = dc_field(default_factory=dict)
 
 
 def parse_problem(doc):
@@ -303,11 +315,11 @@ def parse_problem(doc):
             options[key] = parse_int(options[key], f"$.options.{key}")
             if options[key] < low:
                 raise ProblemFormatError(f"must be at least {low}", f"$.options.{key}")
-    return ProblemSpec(fld, qmatrix, action, character, which, options, doc)
+    return ProblemSpec(fld, qmatrix, action, character, which, options)
 
 
 def load_json(pathname):
-    """The JSON document in a file; an unreadable file or undecodable text is a parse error at ``$``."""
+    """The JSON document in a file; unreadable, undecodable or too deep, a parse error at ``$``."""
     try:
         with open(pathname, "r", encoding="utf-8") as fh:
             return json.load(fh)
@@ -315,6 +327,8 @@ def load_json(pathname):
         raise ProblemFormatError(f"cannot read {pathname}: {err.strerror}", "$") from err
     except (json.JSONDecodeError, UnicodeDecodeError) as err:
         raise ProblemFormatError(f"invalid JSON: {err}", "$") from err
+    except RecursionError as err:
+        raise ProblemFormatError("invalid JSON: nested too deeply", "$") from err
 
 
 def load_problem(pathname):

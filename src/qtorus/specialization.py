@@ -32,7 +32,7 @@ from .errors import InconsistentCharacter, PreconditionFailure, VerificationFail
 from .galois_action import build_order2_action, build_trivial_action
 from .numfield import NumberField, norm, unit_order
 from .report import Report
-from .torus import QMatrix, TwistedLaurentElement, epsilon_powers
+from .torus import QMatrix, TwistedLaurentElement
 from .zlattice import alternating_normal_form
 
 
@@ -454,11 +454,12 @@ def _quotient_algebra(Q, character):
     epsilon^e chi(lam) with e = g . v_h - r . v_lam mod l.  Each distinct sum
     g + h (a mixed-radix code, as digits never carry) is reduced once, and
     each distinct (e, lam) costs one field product.  (l, epsilon, S) comes
-    from ``root_of_unity_data``, so the entry orders must be known.
+    from ``root_of_unity_data``, so the entry orders must be known, and
+    ``Q.eps_pows`` holds the powers of epsilon.
     """
     lat = character.lattice
-    l, eps, S = root_of_unity_data(Q)
-    pows = Q.eps_pows or epsilon_powers(eps, l)
+    l, _, S = root_of_unity_data(Q)
+    pows = Q.eps_pows
     n = Q.n
 
     def row(h):

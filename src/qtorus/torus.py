@@ -32,7 +32,9 @@ the vector becomes one exponent of epsilon mod l, read from a table.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
+from .errors import OrderUndeclared, VerificationFailed
 from .numfield import FieldElement, unit_order
 
 
@@ -41,17 +43,19 @@ class QMatrix:
 
     ``root_of_unity`` is a triple (l, epsilon, S) asserting that epsilon
     has exact order l and q[i][j] = epsilon^S[i][j]; when present it also
-    fixes the declared orders of all entries.
+    fixes the declared orders of all entries.  It is resolved once, at
+    construction: given declared orders alone, construction verifies them
+    and then calls ``synthesize_root_of_unity``.  So a matrix has the data
+    exactly when the orders of its entries are known.
 
     Every product of entries is held as an integer exponent vector indexed
     by ``pairs``, the strictly lower pairs (i, j) with i > j, and turned
     into a field element once, by ``evaluate``: ``cocycle``, ``bihom`` and
     ``power_product`` only add and multiply integers before that call.
-    ``qpow`` reduces an exponent modulo the entry's declared order, which
-    construction has checked.  With root-of-unity data, ``evaluate`` reduces
-    sum_t S[pairs[t]] * exps[t] mod l instead and reads ``eps_pows``, the
-    powers epsilon^0 .. epsilon^(l-1) built once (epsilon^0 is the field's
-    shared one).
+    With root-of-unity data, ``evaluate`` reduces
+    sum_t S[pairs[t]] * exps[t] mod l and reads ``eps_pows``, the powers
+    epsilon^0 .. epsilon^(l-1) built once (epsilon^0 is the field's shared
+    one); otherwise it multiplies entry powers from ``qpow``.
     """
 
     __slots__ = (
@@ -97,8 +101,6 @@ class QMatrix:
             S = tuple(tuple(int(x) for x in row) for row in S)
             root_of_unity = (l, eps, S)
             if declared_orders is None:
-                from math import gcd
-
                 declared_orders = [[l // gcd(S[i][j], l) for j in range(n)] for i in range(n)]
         if declared_orders is not None:
             declared_orders = tuple(tuple(int(x) for x in row) for row in declared_orders)
@@ -107,6 +109,8 @@ class QMatrix:
                     o = declared_orders[i][j]
                     if unit_order(self.entries[i][j], o) != o:
                         raise ValueError(f"declared order of q[{i}][{j}] is wrong")
+            if root_of_unity is None:
+                root_of_unity = synthesize_root_of_unity(self.entries, declared_orders)
         self.declared_orders = declared_orders
         self.root_of_unity = root_of_unity
         self.pairs = tuple((i, j) for i in range(1, n) for j in range(i))
@@ -124,9 +128,7 @@ class QMatrix:
         return cls(field, entries, root_of_unity=(l, eps, S))
 
     def qpow(self, i, j, e):
-        """q[i][j]^e with caching, e reduced modulo the declared order of q[i][j]."""
-        if self.declared_orders is not None:
-            e %= self.declared_orders[i][j]
+        """q[i][j]^e, cached by (i, j, e)."""
         key = (i, j, e)
         got = self._pow_cache.get(key)
         if got is None:
@@ -389,6 +391,34 @@ def epsilon_powers(eps, l):
     for _ in range(l - 1):
         out.append(out[-1] * eps)
     return tuple(out)
+
+
+def synthesize_root_of_unity(entries, orders):
+    """(l, epsilon, S) with entries[i][j] == epsilon^S[i][j], from verified exact orders.
+
+    The entries generate a finite, hence cyclic, subgroup of L* of order
+    the lcm l of their orders: their closure under products.  epsilon is
+    its first element of exact order l by coefficients, and S[i][j] (i < j)
+    the discrete log of entries[i][j] to base epsilon in (-l/2, l/2].
+    """
+    l = lcm(*(o for row in orders for o in row))
+    elems = dict.fromkeys(x for row in entries for x in row)
+    while True:
+        vals = list(elems)
+        elems.update(dict.fromkeys(a * b for a in vals for b in vals))
+        if len(elems) == len(vals):
+            break
+        if len(elems) > l:
+            raise OrderUndeclared("entry group larger than the declared lcm of orders")
+    eps = next((x for x in sorted(elems, key=lambda x: x.coeffs) if unit_order(x, l) == l), None)
+    if eps is None:
+        raise VerificationFailed("finite subgroup of a field without a generator", witness={"l": l})
+    dlog = {p: e for e, p in enumerate(epsilon_powers(eps, l))}
+    c = (l - 1) // 2  # (s + c) % l - c is s's residue in [-c, l - 1 - c] = (-l/2, l/2]
+    upper = [[(dlog[x] + c) % l - c for x in row] for row in entries]
+    n = len(entries)
+    S = [[upper[i][j] if i <= j else -upper[j][i] for j in range(n)] for i in range(n)]
+    return l, eps, tuple(map(tuple, S))
 
 
 def term_key(m):

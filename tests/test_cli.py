@@ -12,7 +12,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qtorus import cli, torus
 from qtorus.cli import main
+from qtorus.report import Report
 from workloads import corpus_ops, load_goldens, op_id
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -70,6 +72,18 @@ def _declared(orders):
         "q": {"entries": [["1", "-1"], ["-1", "1"]], "declared_orders": orders},
         "action": {"kind": "trivial"},
     }
+
+
+def _declared_twin():
+    """cases/n3_decompose.json with q spelled as entries + declared_orders."""
+    with open(case("n3_decompose.json")) as fh:
+        doc = json.load(fh)
+    one, z, z2 = ["1"], ["0", "1"], ["-1", "-1"]  # 1, zeta3 and zeta3^2 = zeta3^-1
+    doc["q"] = {
+        "entries": [[one, z, one], [z2, one, one], [one, one, one]],
+        "declared_orders": [[1, 3, 1], [3, 1, 1], [1, 1, 1]],
+    }
+    return doc
 
 
 # (argv before the file, document or raw text or bytes, JSON path the
@@ -138,6 +152,9 @@ MALFORMED = [
     (["normal-form"], '{"matrix": [[0, 1], [-1, 0]', "$"),
     (["specialize", case("l3_standard.json"), "--chi"], '{"values": ["2", "2"', "$"),
     (["validate"], b"\xff\xfe", "$"),
+    # a JSON boolean is not a rational, though Python reads true as 1
+    (["specialize"], _l3("character", {"values": [True, "2"]}), "$.character.values[0]"),
+    (["validate"], _case2_entries([[True, ["9", "4"]], [["9", "-4"], ["1"]]]), "$.q.entries[0][0]"),
 ]
 
 
@@ -217,6 +234,85 @@ def test_huge_declared_order_fails_fast(q, message, tmp_path, capsys):
     assert main(["validate", str(_write(tmp_path / "big.json", doc))]) == 1
     assert time.perf_counter() - start < 1.0
     assert message in capsys.readouterr().out
+
+
+# every subcommand that reads a file, with the file last on the command line
+FILE_READERS = [
+    ["validate"],
+    ["invariants"],
+    ["center"],
+    ["lcenter"],
+    ["normal-form"],
+    ["specialize"],
+    ["decompose"],
+    ["specialize", case("l3_standard.json"), "--chi"],
+    ["decompose", case("l3_standard.json"), "--chi"],
+]
+
+
+@pytest.mark.parametrize("argv", FILE_READERS, ids=lambda argv: "_".join(argv[::2]))
+def test_deeply_nested_json_is_a_parse_error(argv, tmp_path, capsys):
+    # the decoder recurses once per level and gives up past the recursion limit
+    deep = _write(tmp_path / "deep.json", "[" * 100000 + "]" * 100000)
+    assert main(argv + [str(deep)]) == 2
+    assert "parse error: $: invalid JSON" in capsys.readouterr().err
+
+
+def test_explicit_flag_wins_over_document_option(tmp_path, monkeypatch):
+    # a flag on the command line, else the document's options, else the default
+    opts = str(_write(tmp_path / "opts.json", _l3("options", {"degree_bound": 1, "samples": 2})))
+    plain = str(_write(tmp_path / "plain.json", _l3()))
+    seen = []
+
+    def validate_action(action, degree_bound, samples, seed):
+        seen.append((degree_bound, samples))
+        return Report("validate-action")
+
+    monkeypatch.setattr(cli, "validate_action", validate_action)
+    for argv, expected in [
+        ([opts, "--degree-bound", "0", "--samples", "7"], (0, 7)),
+        ([opts, "--samples", "7"], (1, 7)),
+        ([opts], (1, 2)),
+        ([plain, "--degree-bound", "2"], (2, 50)),
+        ([plain], (3, 50)),
+    ]:
+        assert main(["validate"] + argv) == 0
+        assert seen.pop() == expected, argv
+    out_path = tmp_path / "report.json"
+    for argv, expected in [([opts, "--degree-bound", "0"], 0), ([opts], 1), ([plain], 3)]:
+        assert main(["invariants"] + argv + ["--json", str(out_path)]) == 0
+        assert json.loads(out_path.read_text())["inputs"]["degree_bound"] == expected, argv
+
+
+def test_declared_orders_are_synthesized_once_per_matrix(tmp_path, monkeypatch):
+    # each command builds one QMatrix, and construction resolves (l, epsilon, S)
+    # once; root_of_unity_data only reads it back
+    twin = str(_write(tmp_path / "twin.json", _declared_twin()))
+    calls = []
+    synthesize = torus.synthesize_root_of_unity
+
+    def spy(entries, orders):
+        calls.append(orders)
+        return synthesize(entries, orders)
+
+    monkeypatch.setattr(torus, "synthesize_root_of_unity", spy)
+    for command in ("center", "lcenter", "specialize", "decompose"):
+        calls.clear()
+        assert main([command, twin]) == 0
+        assert len(calls) == 1, command
+
+
+@pytest.mark.parametrize("command", ["center", "lcenter", "specialize", "validate", "invariants"])
+def test_declared_order_twin_reports_match_shipped_case(command, tmp_path):
+    # decompose is left out: the twin synthesizes epsilon = zeta3^2, so S01 = -1
+    reports = []
+    for problem in (case("n3_decompose.json"), str(_write(tmp_path / "twin.json", _declared_twin()))):
+        out_path = tmp_path / "report.json"
+        assert main([command, problem, "--json", str(out_path)]) == 0
+        report = json.loads(out_path.read_text())
+        del report["inputs"]["problem"]
+        reports.append(report)
+    assert reports[0] == reports[1]
 
 
 def test_missing_file_exit_code(capsys):

@@ -228,11 +228,13 @@ def test_central_lattice_requires_orders(sqrt5):
 
 
 def test_root_of_unity_synthesis(sqrt5):
-    # entries +-1 only; epsilon = -1, l = 2 must be synthesized
+    # entries +-1 only; epsilon = -1, l = 2 are synthesized at construction
     Q = QMatrix(sqrt5, [[1, -1], [-1, 1]], declared_orders=[[1, 2], [2, 1]])
-    l, eps, S = root_of_unity_data(Q)
+    assert root_of_unity_data(Q) is Q.root_of_unity
+    l, eps, S = Q.root_of_unity
     assert l == 2 and eps == -1
-    assert S[0][1] % 2 == 1
+    assert S == ((0, 1), (-1, 0))
+    assert Q.eps_pows == (1, -1) and Q.eps_pows[0] is sqrt5.one()
     lat = central_lattice(Q)
     assert lat.basis == ((2, 0), (0, 2))
 

@@ -1,5 +1,6 @@
 import random
 from itertools import product
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -252,6 +253,32 @@ def test_root_of_unity_form(zeta3):
         QMatrix.from_root_of_unity(zeta3, 4, z, [[0, 1], [-1, 0]])
 
 
+def test_construction_synthesizes_root_of_unity_data():
+    # entries + declared orders resolve to (l, epsilon, S) at construction:
+    # epsilon is the first element of exact order l by coefficients, S the
+    # discrete logs to base epsilon in (-l/2, l/2]
+    shipped = load_problem(CASES / "n3_decompose.json").qmatrix
+    twin = QMatrix(shipped.field, shipped.entries, declared_orders=shipped.declared_orders)
+    z12 = NumberField.cyclotomic(12)
+    S12 = ((0, 1, 2), (-1, 0, 5), (-2, -5, 0))
+    Q12 = QMatrix(
+        z12,
+        [[z12.gen() ** s for s in row] for row in S12],
+        declared_orders=[[12 // gcd(s, 12) for s in row] for row in S12],
+    )
+    expected = [
+        (twin, 3, (-1, -1), ((0, -1, 0), (1, 0, 0), (0, 0, 0))),
+        (Q12, 12, (0, -1, 0, 0), ((0, -5, 2), (5, 0, -1), (-2, 1, 0))),
+    ]
+    for Q, l, coeffs, S in expected:
+        got_l, eps, got_S = Q.root_of_unity
+        assert (got_l, eps.coeffs, got_S) == (l, coeffs, S)
+        assert len(Q.eps_pows) == l and Q.eps_pows[1] == eps
+        for i in range(Q.n):
+            for j in range(Q.n):
+                assert Q.entries[i][j] == eps ** S[i][j]
+
+
 def entrywise(Q, m, k, pairs):
     """prod q[i][j]^(m_i k_j) over ``pairs``, by plain ``**``: no cache, no reduction."""
     out = Q.field.one()
@@ -316,7 +343,7 @@ def test_root_of_unity_evaluate_matches_pairwise_path():
     matrices += _ladder_matrices()
     rng = random.Random(14)
     for Q in matrices:
-        pairwise = QMatrix(Q.field, Q.entries, declared_orders=Q.declared_orders)
+        pairwise = QMatrix(Q.field, Q.entries)
         assert pairwise.eps_pows is None and Q.eps_pows[0] is Q.field.one()
         for _ in range(30):
             exps = [rng.randint(-40, 40) for _ in Q.pairs]
@@ -324,7 +351,9 @@ def test_root_of_unity_evaluate_matches_pairwise_path():
         assert Q.evaluate([0] * len(Q.pairs)) is Q.field.one()
 
 
-def test_qpow_reduces_modulo_declared_order():
+def test_qpow_is_periodic_in_the_declared_order():
+    # construction verified every declared order, so q^e == q^(e + o) for the
+    # exact order o; qpow itself takes the exponent as given
     sqrt5 = NumberField.quadratic(5)
     matrices = [QMatrix(sqrt5, [[1, -1], [-1, 1]], declared_orders=[[1, 2], [2, 1]])]
     matrices += [load_problem(CASES / name).qmatrix for name in Q_CASES]
