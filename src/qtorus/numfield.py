@@ -158,16 +158,13 @@ def _common_denominator(vectors):
 def _product_kernel(field):
     """The field's product of two of its elements, built once from its reduction data.
 
-    Degree 1 multiplies the one coefficient; degree 2 is the closed form of
-    (a0 + a1 t)(b0 + b1 t) with t^2 = (r0 + r1 t) / rden; other degrees
-    convolve and reduce with the table.
+    Degree 2 is the closed form of (a0 + a1 t)(b0 + b1 t) with
+    t^2 = (r0 + r1 t) / rden; other degrees convolve and reduce with the
+    table (at degree 1 the convolution has no term to reduce).
     """
     d = field.degree
     red, rden = field._red, field._red_den
-    if d == 1:
-        def mul(a, b):
-            return field._make((a.num[0] * b.num[0],), a.den * b.den)
-    elif d == 2:
+    if d == 2:
         ((r0, r1),) = red
 
         def mul(a, b):

@@ -310,11 +310,13 @@ def parse_problem(doc):
     if not isinstance(options, dict):
         raise ProblemFormatError("options must be an object", "$.options")
     options = dict(options)
-    for key, low in (("degree_bound", 0), ("samples", 1)):
-        if key in options:
-            options[key] = parse_int(options[key], f"$.options.{key}")
-            if options[key] < low:
-                raise ProblemFormatError(f"must be at least {low}", f"$.options.{key}")
+    for key in options:
+        low = {"degree_bound": 0, "samples": 1}.get(key)
+        if low is None:
+            raise ProblemFormatError("not an option (degree_bound, samples)", f"$.options.{key}")
+        options[key] = parse_int(options[key], f"$.options.{key}")
+        if options[key] < low:
+            raise ProblemFormatError(f"must be at least {low}", f"$.options.{key}")
     return ProblemSpec(fld, qmatrix, action, character, which, options)
 
 

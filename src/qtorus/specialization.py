@@ -692,7 +692,7 @@ def cyclic_decomposition(action, character):
     d_i = l / gcd(k_i, l).
     """
     Q = action.qmatrix
-    l, eps, S = root_of_unity_data(Q)
+    l, _, S = root_of_unity_data(Q)
     if character.lattice != l_center_lattice(Q):
         raise ValueError("cyclic decomposition needs an l-center character")
     rep = Report("cyclic-decomposition")
@@ -701,11 +701,12 @@ def cyclic_decomposition(action, character):
     p = len(ks)
     gens = [tuple(U[a]) for a in range(n)]
     one = Q.field.one()
+    omegas = [Q.eps_pows[k % l] for k in ks]  # epsilon^k_a, block a's commutation scalar
 
     ok = True
     witness = None
     for a in range(p):
-        if Q.bihom(gens[2 * a], gens[2 * a + 1]) != eps ** ks[a]:
+        if Q.bihom(gens[2 * a], gens[2 * a + 1]) != omegas[a]:
             ok, witness = False, {"block": a}
     rep.add("block-pairing-matches-normal-form", ok, witness)
 
@@ -729,7 +730,7 @@ def cyclic_decomposition(action, character):
         X, Y = vecs[2 * a], vecs[2 * a + 1]
         lhs = algebra.mul(X, Y)
         rhs = algebra.mul(Y, X)
-        scaled = {k: eps ** ks[a] * c for k, c in rhs.items()}
+        scaled = {k: omegas[a] * c for k, c in rhs.items()}
         if lhs != scaled:
             ok, witness = False, {"block": a}
     rep.add("block-relation-in-quotient", ok, witness)
@@ -745,7 +746,7 @@ def cyclic_decomposition(action, character):
                 "k": ks[a],
                 "k_effective": keff,
                 "degree": l // keff,
-                "omega": eps ** ks[a],
+                "omega": omegas[a],
                 "a": av,
                 "b": bv,
             }

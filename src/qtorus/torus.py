@@ -34,7 +34,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import OrderUndeclared, VerificationFailed
+from .errors import VerificationFailed
 from .numfield import FieldElement, unit_order
 
 
@@ -42,8 +42,8 @@ class QMatrix:
     """Commutation matrix with optional declared orders or root-of-unity data.
 
     ``root_of_unity`` is a triple (l, epsilon, S) asserting that epsilon
-    has exact order l and q[i][j] = epsilon^S[i][j]; when present it also
-    fixes the declared orders of all entries.  It is resolved once, at
+    has exact order l and q[i][j] = epsilon^S[i][j] (``entries`` may then
+    be None); it is checked on ``eps_pows``.  It is resolved once, at
     construction: given declared orders alone, construction verifies them
     and then calls ``synthesize_root_of_unity``.  So a matrix has the data
     exactly when the orders of its entries are known.
@@ -62,7 +62,6 @@ class QMatrix:
         "field",
         "n",
         "entries",
-        "declared_orders",
         "root_of_unity",
         "pairs",
         "eps_pows",
@@ -71,6 +70,13 @@ class QMatrix:
     )
 
     def __init__(self, field, entries, declared_orders=None, root_of_unity=None):
+        pows = None
+        if root_of_unity is not None:
+            l, eps, S = root_of_unity
+            eps = field.element(eps)
+            pows = epsilon_powers(eps, l)
+            if entries is None:
+                entries = [[pows[s % l] for s in row] for row in S]
         n = len(entries)
         rows = []
         for i in range(n):
@@ -87,45 +93,35 @@ class QMatrix:
             for j in range(n):
                 if self.entries[i][j] * self.entries[j][i] != one:
                     raise ValueError(f"q[{i}][{j}] * q[{j}][{i}] != 1")
-        if root_of_unity is not None:
-            l, eps, S = root_of_unity
-            eps = field.element(eps)
-            if unit_order(eps, l) != l:
-                raise ValueError(f"epsilon does not have exact order {l}")
+        if pows is not None:
             for i in range(n):
                 for j in range(n):
                     if S[i][j] != -S[j][i]:
                         raise ValueError("exponent matrix must be antisymmetric")
-                    if self.entries[i][j] != eps ** S[i][j]:
+                    if self.entries[i][j] != pows[S[i][j] % l]:
                         raise ValueError(f"q[{i}][{j}] != epsilon^S[{i}][{j}]")
             S = tuple(tuple(int(x) for x in row) for row in S)
             root_of_unity = (l, eps, S)
-            if declared_orders is None:
-                declared_orders = [[l // gcd(S[i][j], l) for j in range(n)] for i in range(n)]
         if declared_orders is not None:
-            declared_orders = tuple(tuple(int(x) for x in row) for row in declared_orders)
+            declared_orders = [[int(o) for o in row] for row in declared_orders]
             for i in range(n):
                 for j in range(n):
                     o = declared_orders[i][j]
-                    if unit_order(self.entries[i][j], o) != o:
+                    # with epsilon of exact order l, epsilon^s has order l / gcd(s, l)
+                    exact = unit_order(self.entries[i][j], o) if pows is None else l // gcd(S[i][j], l)
+                    if exact != o:
                         raise ValueError(f"declared order of q[{i}][{j}] is wrong")
-            if root_of_unity is None:
-                root_of_unity = synthesize_root_of_unity(self.entries, declared_orders)
-        self.declared_orders = declared_orders
+            if pows is None:
+                root_of_unity, pows = synthesize_root_of_unity(self.entries, declared_orders)
         self.root_of_unity = root_of_unity
         self.pairs = tuple((i, j) for i in range(1, n) for j in range(i))
-        self.eps_pows = self._eps_exps = None
-        if root_of_unity is not None:
-            l, eps, S = root_of_unity
-            self.eps_pows = epsilon_powers(eps, l)
-            self._eps_exps = tuple(S[i][j] for i, j in self.pairs)
+        self.eps_pows = pows
+        self._eps_exps = None if pows is None else tuple(root_of_unity[2][i][j] for i, j in self.pairs)
         self._pow_cache = {}
 
     @classmethod
     def from_root_of_unity(cls, field, l, epsilon, S):
-        eps = field.element(epsilon)
-        entries = [[eps ** S[i][j] for j in range(len(S))] for i in range(len(S))]
-        return cls(field, entries, root_of_unity=(l, eps, S))
+        return cls(field, None, root_of_unity=(l, epsilon, S))
 
     def qpow(self, i, j, e):
         """q[i][j]^e, cached by (i, j, e)."""
@@ -386,39 +382,43 @@ class TwistedLaurentElement:
 
 
 def epsilon_powers(eps, l):
-    """(epsilon^0, ..., epsilon^(l-1)), with epsilon^0 the field's shared one."""
-    out = [eps.field.one()]
-    for _ in range(l - 1):
-        out.append(out[-1] * eps)
+    """(epsilon^0, ..., epsilon^(l-1)), epsilon^0 the field's shared one; ValueError unless epsilon has order l."""
+    one = eps.field.one()
+    out, power = [one], eps
+    if 1 <= l <= 2 * eps.field.degree ** 2:  # no root of unity of higher order, as in unit_order
+        while power != one and len(out) < l:
+            out.append(power)
+            power = power * eps
+    if power != one or len(out) != l:
+        raise ValueError(f"epsilon does not have exact order {l}")
     return tuple(out)
 
 
 def synthesize_root_of_unity(entries, orders):
-    """(l, epsilon, S) with entries[i][j] == epsilon^S[i][j], from verified exact orders.
+    """((l, epsilon, S), epsilon_powers(epsilon, l)) with entries[i][j] == epsilon^S[i][j].
 
-    The entries generate a finite, hence cyclic, subgroup of L* of order
-    the lcm l of their orders: their closure under products.  epsilon is
-    its first element of exact order l by coefficients, and S[i][j] (i < j)
+    With verified exact orders, the entries generate a cyclic subgroup G of L*
+    of order l, the lcm of the orders: G grows from {1} by the cosets G x^k of
+    each entry x until x^k is in G, at most about 2 l products per entry.  epsilon
+    is G's first element of exact order l by coefficients, and S[i][j] (i < j)
     the discrete log of entries[i][j] to base epsilon in (-l/2, l/2].
     """
     l = lcm(*(o for row in orders for o in row))
-    elems = dict.fromkeys(x for row in entries for x in row)
-    while True:
-        vals = list(elems)
-        elems.update(dict.fromkeys(a * b for a in vals for b in vals))
-        if len(elems) == len(vals):
-            break
-        if len(elems) > l:
-            raise OrderUndeclared("entry group larger than the declared lcm of orders")
-    eps = next((x for x in sorted(elems, key=lambda x: x.coeffs) if unit_order(x, l) == l), None)
+    group = {entries[0][0].field.one()}
+    for x in dict.fromkeys(x for row in entries for x in row):
+        base, power = list(group), x
+        while power not in group:  # the first such x^k already lies in the G it started from
+            group.update(g * power for g in base)
+            power = power * x
+    eps = next((x for x in sorted(group, key=lambda x: x.coeffs) if unit_order(x, l) == l), None)
     if eps is None:
         raise VerificationFailed("finite subgroup of a field without a generator", witness={"l": l})
-    dlog = {p: e for e, p in enumerate(epsilon_powers(eps, l))}
+    pows = epsilon_powers(eps, l)
+    dlog = {p: e for e, p in enumerate(pows)}
     c = (l - 1) // 2  # (s + c) % l - c is s's residue in [-c, l - 1 - c] = (-l/2, l/2]
     upper = [[(dlog[x] + c) % l - c for x in row] for row in entries]
-    n = len(entries)
-    S = [[upper[i][j] if i <= j else -upper[j][i] for j in range(n)] for i in range(n)]
-    return l, eps, tuple(map(tuple, S))
+    S = [[s if i <= j else -upper[j][i] for j, s in enumerate(row)] for i, row in enumerate(upper)]
+    return (l, eps, tuple(map(tuple, S))), pows
 
 
 def term_key(m):

@@ -4,6 +4,8 @@ import io
 import json
 import os
 import re
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -143,6 +145,9 @@ MALFORMED = [
     (["validate"], _case2_entries([[["1"], ["9", "4"]], [["9", "-4"]]]), "$.q.entries[1]"),
     (["validate"], _l3("options", {"degree_bound": -1}), "$.options.degree_bound"),
     (["invariants"], _l3("options", {"samples": 0}), "$.options.samples"),
+    # only degree_bound and samples are read; a misspelt key must not fall back to the default
+    (["invariants"], _l3("options", {"degree_bond": 9}), "$.options.degree_bond"),
+    (["invariants"], _l3("options", {"degree_bound": 1, "seed": 4}), "$.options.seed"),
     (["normal-form"], {"matrix": [[0, "x"], [0, 0]]}, "$.matrix[0][1]"),
     (["normal-form"], {"matrix": [[0, 1.7], [-1.7, 0]]}, "$.matrix[0][1]"),
     (["normal-form"], {"matrix": []}, "$.matrix"),
@@ -313,6 +318,30 @@ def test_declared_order_twin_reports_match_shipped_case(command, tmp_path):
         del report["inputs"]["problem"]
         reports.append(report)
     assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["specialize", "cases/l3_standard.json", "--chi", "cases/chi_symmetric.json", "--form", "k"],
+        ["decompose", "cases/n3_decompose.json"],
+    ],
+    ids=op_id,
+)
+def test_optimized_interpreter_report_matches_golden(argv, tmp_path):
+    # python -O strips assert statements: the certificates must not depend on them
+    out_path = tmp_path / "report.json"
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "qtorus.cli", *argv, "--json", str(out_path), "--seed", "0"],
+        cwd=ROOT,
+        env=dict(os.environ, PYTHONPATH="src"),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    golden = GOLDENS["corpus"][op_id(argv)]
+    assert proc.returncode == golden["exit"], proc.stderr
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == golden["sha256"]
 
 
 def test_missing_file_exit_code(capsys):

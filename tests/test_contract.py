@@ -170,11 +170,11 @@ def test_field_product_kernel_is_reached_only_through_mul():
 
 def test_declared_orders_are_read_only_by_qmatrix():
     # construction verifies declared orders and resolves them into root-of-unity
-    # data, which every other module reads instead
+    # data, which every module reads instead: no QMatrix keeps its declared orders
     uses = set()
     for name, tree in library_modules():
         uses.update((name, where, ctx) for where, ctx in attribute_uses(tree, "declared_orders"))
-    assert {name for name, _, ctx in uses if ctx == "Load"} <= {"torus.py"}, uses
+    assert not uses, uses
 
 
 def test_failed_certificate_raises_verification_failed():

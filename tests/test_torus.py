@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import product
 from math import gcd
@@ -6,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from qtorus.galois_action import build_explicit_action
-from qtorus.numfield import NumberField
+from qtorus.numfield import FieldElement, NumberField, unit_order
 from qtorus.problems import load_json, load_problem
 from qtorus.specialization import CentralCharacter, _quotient_algebra
 from qtorus.torus import QMatrix, TwistedLaurentElement
@@ -56,10 +57,26 @@ def rand_element(Q, rng, nterms=3, span=5):
 
 def test_invalid_qmatrix_rejected(zeta3):
     z = zeta3.gen()
-    with pytest.raises(ValueError):
-        QMatrix(zeta3, [[1, z], [z, 1]])  # z * z != 1
-    with pytest.raises(ValueError):
-        QMatrix(zeta3, [[z, 1], [1, 1]])  # diagonal must be 1
+    z2 = z * z  # z^2 = z^-1
+    S = [[0, 1], [-1, 0]]
+    rows = [
+        ([[1, z], [z, 1]], {}, r"q\[0\]\[1\] \* q\[1\]\[0\] != 1"),
+        ([[z, 1], [1, 1]], {}, r"q\[0\]\[0\] != 1"),
+        # z * z^2 == 1, so only S itself is at fault
+        ([[1, z], [z2, 1]], {"root_of_unity": (3, z, [[0, 1], [2, 0]])}, "exponent matrix must be antisymmetric"),
+        ([[1, z2], [z, 1]], {"root_of_unity": (3, z, S)}, r"q\[0\]\[1\] != epsilon\^S\[0\]\[1\]"),
+        ([[1, z], [z2, 1]], {"root_of_unity": (6, z, S)}, "epsilon does not have exact order 6"),
+        ([[1, z], [z2, 1]], {"declared_orders": [[1, 6], [3, 1]]}, r"declared order of q\[0\]\[1\] is wrong"),
+        # beside root-of-unity data the order of q[i][j] is l / gcd(S[i][j], l)
+        (
+            [[1, z], [z2, 1]],
+            {"declared_orders": [[1, 3], [1, 1]], "root_of_unity": (3, z, S)},
+            r"declared order of q\[1\]\[0\] is wrong",
+        ),
+    ]
+    for entries, kwargs, message in rows:
+        with pytest.raises(ValueError, match=message):
+            QMatrix(zeta3, entries, **kwargs)
 
 
 def test_bihom_basis(Qz, zeta3):
@@ -248,8 +265,9 @@ def test_root_of_unity_form(zeta3):
     z = zeta3.gen()
     Q = QMatrix.from_root_of_unity(zeta3, 3, z, [[0, 1], [-1, 0]])
     assert Q.entries[0][1] == z
-    assert Q.declared_orders == ((1, 3), (3, 1))
-    with pytest.raises(ValueError):
+    l, _, S = Q.root_of_unity
+    assert _orders(l, S) == [[unit_order(q, l) for q in row] for row in Q.entries] == [[1, 3], [3, 1]]
+    with pytest.raises(ValueError, match="epsilon does not have exact order 4"):
         QMatrix.from_root_of_unity(zeta3, 4, z, [[0, 1], [-1, 0]])
 
 
@@ -258,13 +276,14 @@ def test_construction_synthesizes_root_of_unity_data():
     # epsilon is the first element of exact order l by coefficients, S the
     # discrete logs to base epsilon in (-l/2, l/2]
     shipped = load_problem(CASES / "n3_decompose.json").qmatrix
-    twin = QMatrix(shipped.field, shipped.entries, declared_orders=shipped.declared_orders)
+    l, _, S = shipped.root_of_unity
+    twin = QMatrix(shipped.field, shipped.entries, declared_orders=_orders(l, S))
     z12 = NumberField.cyclotomic(12)
     S12 = ((0, 1, 2), (-1, 0, 5), (-2, -5, 0))
     Q12 = QMatrix(
         z12,
         [[z12.gen() ** s for s in row] for row in S12],
-        declared_orders=[[12 // gcd(s, 12) for s in row] for row in S12],
+        declared_orders=_orders(12, S12),
     )
     expected = [
         (twin, 3, (-1, -1), ((0, -1, 0), (1, 0, 0), (0, 0, 0))),
@@ -277,6 +296,70 @@ def test_construction_synthesizes_root_of_unity_data():
         for i in range(Q.n):
             for j in range(Q.n):
                 assert Q.entries[i][j] == eps ** S[i][j]
+    # a seeded sweep in both spellings: SWEEP_SHA256 digests every (l, epsilon, S)
+    # and eps_pows table as closing the entries under all pairwise products
+    # gives them
+    digest = hashlib.sha256()
+    rng = random.Random(20)
+    for shipped, declared in _sweep_matrices():
+        for Q in (shipped, declared):
+            l, eps, S = Q.root_of_unity
+            digest.update(repr((l, eps.coeffs, S, [p.coeffs for p in Q.eps_pows])).encode())
+            pairwise = QMatrix(Q.field, Q.entries)
+            for _ in range(4):
+                exps = [rng.randint(-30, 30) for _ in Q.pairs]
+                assert Q.evaluate(exps) == pairwise.evaluate(exps), (l, S, exps)
+    assert digest.hexdigest() == SWEEP_SHA256
+
+
+SWEEP_SHA256 = "74e1a1c099fd21ba3fe6e556fd1e784a7e659a74abda3b839cfdf8bf7c8bf436"
+
+
+def _orders(l, S):
+    """The exact orders l / gcd(S[i][j], l) of the entries epsilon^S[i][j], epsilon of order l."""
+    return [[l // gcd(s, l) for s in row] for row in S]
+
+
+def _sweep_matrices():
+    """(from_root_of_unity, declared-order twin) of Q(zeta_l)^S, S seeded, l up to 84, n = 1 .. 4."""
+    rng = random.Random(19)
+    for l in (2, 3, 4, 5, 6, 8, 12, 60, 84):
+        field = NumberField.cyclotomic(l)
+        for n in range(1, 5):
+            S = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i + 1, n):
+                    S[i][j] = rng.randint(-l, l)
+                    S[j][i] = -S[i][j]
+            shipped = QMatrix.from_root_of_unity(field, l, field.gen(), S)
+            yield shipped, QMatrix(field, shipped.entries, declared_orders=_orders(l, S))
+
+
+def test_root_of_unity_construction_takes_about_l_products(monkeypatch):
+    # Q(zeta84)^S: the declared-order spelling verifies the orders (about 400
+    # products) and grows the entry group by the powers of one entry (about
+    # 170), where closing it under all pairwise products takes about 84^2;
+    # from_root_of_unity builds one table of 84 powers of epsilon
+    field = NumberField.cyclotomic(84)
+    S = ((0, 1, 2), (-1, 0, 5), (-2, -5, 0))
+    entries = [[field.gen() ** s for s in row] for row in S]
+    orders = _orders(84, S)
+    calls = []
+    mul = FieldElement.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(FieldElement, "__mul__", counted)
+    declared = QMatrix(field, entries, declared_orders=orders)
+    assert len(calls) < 1500, len(calls)
+    calls.clear()
+    shipped = QMatrix.from_root_of_unity(field, 84, field.gen(), S)
+    assert len(calls) < 300, len(calls)
+    monkeypatch.undo()
+    assert declared.root_of_unity[0] == 84 and set(declared.eps_pows) == set(shipped.eps_pows)
+    assert declared.entries == shipped.entries
 
 
 def entrywise(Q, m, k, pairs):
@@ -352,17 +435,19 @@ def test_root_of_unity_evaluate_matches_pairwise_path():
 
 
 def test_qpow_is_periodic_in_the_declared_order():
-    # construction verified every declared order, so q^e == q^(e + o) for the
-    # exact order o; qpow itself takes the exponent as given
+    # construction verified every order, declared or read off S, so q^e ==
+    # q^(e + o) for the exact order o; qpow itself takes the exponent as given
     sqrt5 = NumberField.quadratic(5)
     matrices = [QMatrix(sqrt5, [[1, -1], [-1, 1]], declared_orders=[[1, 2], [2, 1]])]
     matrices += [load_problem(CASES / name).qmatrix for name in Q_CASES]
     checked = 0
     for Q in matrices:
-        if Q.declared_orders is None:
+        if Q.root_of_unity is None:
             continue
+        l, _, S = Q.root_of_unity
+        orders = _orders(l, S)
         for i, j in Q.pairs:
-            o = Q.declared_orders[i][j]
+            o = orders[i][j]
             for e in range(-7, 8):
                 assert Q.qpow(i, j, e) == Q.qpow(i, j, e + o) == Q.entries[i][j] ** e
                 checked += 1
