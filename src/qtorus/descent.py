@@ -334,15 +334,3 @@ def commutant_monomial_basis(qmatrix, bound):
         out.append(TwistedLaurentElement(qmatrix, terms))
     return out
 
-
-def central_elements_up_to(qmatrix, bound):
-    """All exponents m with |m|_inf <= bound whose monomials are central,
-
-    found by the defining commutation identity (independent of any
-    lattice computation, so usable as an oracle against it).
-    """
-    return [
-        m
-        for m in product(range(-bound, bound + 1), repeat=qmatrix.n)
-        if qmatrix.is_central_exponent(m)
-    ]

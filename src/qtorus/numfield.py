@@ -568,10 +568,6 @@ class FieldAutomorphism:
                     out[i] += c * x
         return field._make(out, a.den * self._den)
 
-    def compose(self, other):
-        """self after other: (self . other)(a) = self(other(a))."""
-        return FieldAutomorphism(self.field, self(other.t_image))
-
     def __eq__(self, other):
         return (
             isinstance(other, FieldAutomorphism)

@@ -126,13 +126,13 @@ class CentralCharacter:
 class FiniteDimAlgebra:
     """Associative unital algebra given by exact structure constants.
 
-    ``table[(i, j)]`` maps a target index to the coefficient of that
-    basis element in e_i * e_j; vectors are sparse {index: coefficient}
-    dicts.  The table is stored as given, zero coefficients included.
     A monomial table (at most one nonzero coefficient per product, every
-    L-form) is also held as three arrays that ``_classify`` fills in one
-    pass, the only code that reads its dict: the target ``_tgt`` and the
-    coefficient id ``_cid`` of each product, and the values ``_vals`` by id.
+    L-form) is held as three arrays: the target ``_tgt`` and the
+    coefficient id ``_cid`` of each product, and the values ``_vals`` by
+    id.  ``_quotient_algebra`` fills them itself (``_from_arrays``); a dict
+    ``table[(i, j)] = {target: coefficient}`` given to the constructor is
+    read once by ``_classify`` and not kept.  ``mul`` reads the arrays, and
+    vectors are sparse {index: coefficient} dicts.
 
     Construction takes a monomial table only; any other raises
     ``PreconditionFailure`` naming its first product with two nonzero
@@ -146,7 +146,8 @@ class FiniteDimAlgebra:
       quotient of rank n, M is the unit and n generators; a table where M
       fails its certificate gets the dim^3 scan;
     * the rational form built by ``rational_form``, not monomial: transported
-      from its L-form through an injective unital ring map (``_transported``).
+      from its L-form through an injective unital ring map, and the one
+      algebra that keeps its dict ``table`` (``_transported``).
 
     ``center_dim`` and ``radical_dim`` are counts on the arrays of a graded
     monomial table and raise on any other; a rational form's center and
@@ -156,19 +157,21 @@ class FiniteDimAlgebra:
     __slots__ = ("field", "labels", "table", "unit", "is_monomial", "is_graded", "_tgt", "_cid", "_vals")
 
     def __init__(self, field, labels, table, unit):
-        self.field = field
-        self.labels = tuple(labels)
-        self.table = table
+        self.field, self.labels = field, tuple(labels)
         self.unit = {k: c for k, c in unit.items() if c}
-        bad = self._classify()
+        bad = self._classify(table)
         if not self.is_monomial:
             raise PreconditionFailure(f"product {bad} has two nonzero coefficients; the table is not monomial")
-        j = self._unit_fails_at()
-        if j is not None:
-            raise PreconditionFailure(f"unit vector does not act as identity on basis index {j}")
-        ok, witness = self.check_associativity()
-        if not ok:
-            raise VerificationFailed("non-associative table", witness=witness)
+        self._certify()
+
+    @classmethod
+    def _from_arrays(cls, field, labels, arrays, unit):
+        """A monomial algebra from the arrays ``_classify`` would fill, certified like a table."""
+        self = cls.__new__(cls)
+        self.field, self.labels, self.unit = field, tuple(labels), unit
+        self._hold(*arrays)
+        self._certify()
+        return self
 
     @classmethod
     def _transported(cls, field, labels, table, unit):
@@ -178,36 +181,38 @@ class FiniteDimAlgebra:
         self = cls.__new__(cls)
         self.field, self.labels, self.table = field, tuple(labels), table
         self.unit = {k: c for k, c in unit.items() if c}
-        self._classify()
+        self._classify(table)
         return self
 
-    def _classify(self):
-        """Check every index, set ``is_monomial``, ``is_graded`` and the arrays,
-        and return the first (i, j) whose product has two nonzero coefficients.
+    def _certify(self):
+        """The unit and associativity certificates of a constructed table."""
+        j = self._unit_fails_at()
+        if j is not None:
+            raise PreconditionFailure(f"unit vector does not act as identity on basis index {j}")
+        ok, witness = self.check_associativity()
+        if not ok:
+            raise VerificationFailed("non-associative table", witness=witness)
+
+    def _classify(self, table):
+        """Check every index of a dict table, read it into the arrays, and
+        return the first (i, j) whose product has two nonzero coefficients.
 
         A target or unit index that is not an int in ``range(dim)``, or a
-        missing product, raises ``PreconditionFailure``.  The
-        table is monomial when every product has at most one nonzero
-        coefficient; it then keeps ``_tgt`` and ``_cid``, (n+1) x (n+1) with
-        row and column n for zero, and ``_vals``, the coefficients interned by
-        exact value (equal ids mean equal elements, ``_vals[0]`` is zero).  A
-        zero coefficient gets the id of zero, so its product gets target n:
-        no coefficient is tested for zero, and each shared coefficient object
-        is hashed once.  Any other table (only ``_transported`` keeps one)
-        returns its first such product and leaves the three arrays None.
-
-        ``is_graded``: the table is monomial, e_g e_h and e_h e_g have one
-        target or are both zero, and for each h distinct g give distinct
-        targets (every L-form).  Then sum a_g e_g commutes with e_h iff
-        a_g c(g, h) == a_g c(h, g) for every g, so central monomials span the
-        center.
+        missing product, raises ``PreconditionFailure``.  The table is
+        monomial when every product has at most one nonzero coefficient; its
+        arrays are ``_tgt`` and ``_cid``, (n+1) x (n+1) with row and column n
+        for zero, and ``_vals``, the coefficients interned by exact value
+        (equal ids mean equal elements, ``_vals[0]`` is zero).  A zero
+        coefficient gets the id of zero, so its product gets target n: no
+        coefficient is tested for zero.  Any other table (only
+        ``_transported`` keeps one) returns its first such product and leaves
+        the three arrays None.
         """
-        n, table = self.dim, self.table
+        n = self.dim
         for z in self.unit:
             if z.__class__ is not int or not 0 <= z < n:
                 raise PreconditionFailure(f"unit index {z!r} is not in range({n})")
-        zero = self.field.zero()
-        vals, ids, by_object = [zero], {zero: 0}, {}
+        ids = {self.field.zero(): 0}
         tgt = [[n] * (n + 1) for _ in range(n + 1)]
         cid = [[0] * (n + 1) for _ in range(n + 1)]
         bad = None
@@ -221,22 +226,26 @@ class FiniteDimAlgebra:
                     if k.__class__ is not int or not 0 <= k < n:
                         raise PreconditionFailure(f"product ({i}, {j}) has target {k!r}, not in range({n})")
                     if bad is None:
-                        got = by_object.get(id(c))
-                        if got is None:
-                            got = by_object[id(c)] = ids.setdefault(c, len(vals))
-                            if got == len(vals):
-                                vals.append(c)
+                        got = ids.setdefault(c, len(ids))
                         if got:
                             if ti[j] != n:
                                 bad = (i, j)
                             ti[j], ci[j] = k, got
-        self.is_monomial = monomial = bad is None
+        self._hold(*((tgt, cid, list(ids)) if bad is None else (None, None, None)))
+        return bad
+
+    def _hold(self, tgt, cid, vals):
+        """Keep the arrays (None off a monomial table) and set ``is_graded``: e_g e_h
+        and e_h e_g share a target or are both zero, and distinct g give distinct
+        targets for each h (every L-form).  Then sum a_g e_g commutes with e_h iff
+        a_g c(g, h) == a_g c(h, g) for all g: central monomials span the center."""
+        n = self.dim
+        self.is_monomial = monomial = tgt is not None
         self.is_graded = monomial and (
             tgt == [list(col) for col in zip(*tgt)]
             and all(len(set(row) - {n}) == n + 1 - row.count(n) for row in tgt)
         )
-        self._tgt, self._cid, self._vals = (tgt, cid, vals) if monomial else (None, None, None)
-        return bad
+        self._tgt, self._cid, self._vals = tgt, cid, vals
 
     @property
     def dim(self):
@@ -246,13 +255,16 @@ class FiniteDimAlgebra:
         return {i: self.field.one()}
 
     def mul(self, u, v):
+        n, tgt, cid, vals = self.dim, self._tgt, self._cid, self._vals
+        if tgt is None or not all(0 <= k < n for w in (u, v) for k in w):
+            raise PreconditionFailure(f"mul reads the arrays of a monomial table at indices in range({n})")
         out = {}
         for i, c in u.items():
             for j, d in v.items():
-                cd = c * d
-                for k, t in self.table[(i, j)].items():
+                k = tgt[i][j]
+                if k != n:
                     s = out.get(k)
-                    val = cd * t
+                    val = c * d * vals[cid[i][j]]
                     out[k] = val if s is None else s + val
         return {k: c for k, c in out.items() if c}
 
@@ -302,7 +314,7 @@ class FiniteDimAlgebra:
 
         With e_i e_j = c(i,j) e_ij, each side of (e_i e_j) e_k == e_i (e_j e_k)
         is a target and a product of two coefficients.  The coefficients' ids
-        are ``_classify``'s, so equal ids mean equal elements; each pair of ids
+        are the arrays', so equal ids mean equal elements; each pair of ids
         is multiplied once, into the rows of ``P`` that the scanned middles
         read, and the product is interned in a copy of ``_vals``.  A zero
         product has target n (one past the basis) and the id of zero, so both
@@ -396,7 +408,7 @@ class FiniteDimAlgebra:
 
     def center_dim(self):
         """Dimension of the center: the count of central monomials of a graded
-        table, exact by ``_classify``; any other table raises.  A rational
+        table, exact by ``_hold``; any other table raises.  A rational
         form's center has its L-form's dimension (see ``rational_form``)."""
         if not self.is_graded:
             raise PreconditionFailure("center_dim counts central monomials; the table is not graded")
@@ -480,19 +492,22 @@ def _quotient_algebra(Q, character):
     codes = [sum(map(mul, g, weights)) for g in labels]
     rows = [row(h) for h in labels]
     lams = list(lam_ids)
-    coeffs = {}
-    table = {}
+    N = len(labels)
+    tgt = [[N] * (N + 1) for _ in range(N + 1)]
+    cid = [[0] * (N + 1) for _ in range(N + 1)]
+    ids, by_key = {Q.field.zero(): 0}, {}
     for i, g in enumerate(labels):
-        cg = codes[i]
+        cg, ti, ci = codes[i], tgt[i], cid[i]
         for j, vh in enumerate(rows):
             k, base, key = sums[cg + codes[j]]
-            e = (sum(map(mul, g, vh)) - base) % l
-            c = coeffs.get(key + e)
-            if c is None:
-                c = coeffs[key + e] = pows[e] * character.value(lams[key // l])
-            table[(i, j)] = {k: c}
+            key += (sum(map(mul, g, vh)) - base) % l
+            x = by_key.get(key)
+            if x is None:
+                c = pows[key % l] * character.value(lams[key // l])
+                x = by_key[key] = ids.setdefault(c, len(ids))
+            ti[j], ci[j] = k, x
     unit = {index[(0,) * n]: Q.field.one()}
-    return FiniteDimAlgebra(Q.field, labels, table, unit)
+    return FiniteDimAlgebra._from_arrays(Q.field, labels, (tgt, cid, list(ids)), unit)
 
 
 def embed_monomial(algebra, character, exponent):
@@ -639,40 +654,6 @@ def rational_form(action, character, algebra=None):
     unit = coords_of([(k, intern(c)) for k, c in algebra.unit.items()])
     rational = FiniteDimAlgebra._transported(rationals, tuple(range(N)), table, unit)
     return rational, vecs
-
-
-# ---------------------------------------------------------------------------
-# direct cyclic algebra constructions (used as independent oracles)
-
-
-def cyclic_algebra(field, l, a, b, omega):
-    """Algebra with x^l = a, y^l = b, x y = omega y x, built directly."""
-    a, b, omega = field.element(a), field.element(b), field.element(omega)
-    labels = [(i, j) for i in range(l) for j in range(l)]
-    index = {lab: t for t, lab in enumerate(labels)}
-    table = {}
-    for t1, (i, j) in enumerate(labels):
-        for t2, (i2, j2) in enumerate(labels):
-            coeff = omega ** (-j * i2) * a ** ((i + i2) // l) * b ** ((j + j2) // l)
-            table[(t1, t2)] = {index[((i + i2) % l, (j + j2) % l)]: coeff}
-    return FiniteDimAlgebra(field, labels, table, {index[(0, 0)]: field.one()})
-
-
-def commutative_cyclic(field, l, a):
-    """L[x]/(x^l - a)."""
-    a = field.element(a)
-    table = {}
-    for i in range(l):
-        for j in range(l):
-            table[(i, j)] = {(i + j) % l: a ** ((i + j) // l)}
-    return FiniteDimAlgebra(field, tuple(range(l)), table, {0: field.one()})
-
-
-def truncated_line(field):
-    """L[x]/(x^2), the smallest algebra with a nonzero radical."""
-    one = field.one()
-    table = {(0, 0): {0: one}, (0, 1): {1: one}, (1, 0): {1: one}, (1, 1): {}}
-    return FiniteDimAlgebra(field, (0, 1), table, {0: one})
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,9 @@ class QMatrix:
     has exact order l and q[i][j] = epsilon^S[i][j] (``entries`` may then
     be None); it is checked on ``eps_pows``.  It is resolved once, at
     construction: given declared orders alone, construction verifies them
-    and then calls ``synthesize_root_of_unity``.  So a matrix has the data
+    (``unit_order`` on each q[i][j] with i < j, the rest as integers, since
+    q[i][i] == 1 and q[j][i] = q[i][j]^-1) and then calls
+    ``synthesize_root_of_unity``.  So a matrix has the data
     exactly when the orders of its entries are known.
 
     Every product of entries is held as an integer exponent vector indexed
@@ -107,8 +109,14 @@ class QMatrix:
             for i in range(n):
                 for j in range(n):
                     o = declared_orders[i][j]
-                    # with epsilon of exact order l, epsilon^s has order l / gcd(s, l)
-                    exact = unit_order(self.entries[i][j], o) if pows is None else l // gcd(S[i][j], l)
+                    if pows is not None:
+                        # with epsilon of exact order l, epsilon^s has order l / gcd(s, l)
+                        exact = l // gcd(S[i][j], l)
+                    elif i >= j:
+                        # q[i][i] == 1, and q[i][j] = q[j][i]^-1 has the order verified at (j, i)
+                        exact = 1 if i == j else declared_orders[j][i]
+                    else:
+                        exact = unit_order(self.entries[i][j], o)
                     if exact != o:
                         raise ValueError(f"declared order of q[{i}][{j}] is wrong")
             if pows is None:

@@ -88,10 +88,21 @@ def _declared_twin():
     return doc
 
 
+def _trivial(n, options=None):
+    """n generators over Q(sqrt 5), every q_ij = 1, the trivial action."""
+    doc = {"field": {"kind": "quadratic", "D": 5}, "q": {"entries": [["1"] * n] * n}, "action": {"kind": "trivial"}}
+    return doc if options is None else {**doc, "options": options}
+
+
 # (argv before the file, document or raw text or bytes, JSON path the
 # error must name); every entry exits 2, none may crash or silently
 # truncate a float
 MALFORMED = [
+    # the (2b+1)^n monomial box of validate and invariants is bounded before it
+    # is walked: 7^10 monomials at the default b = 3 would take hours
+    (["validate"], _trivial(10), "$.n"),
+    (["invariants"], _trivial(10), "$.n"),
+    (["invariants"], _trivial(3, {"degree_bound": 20}), "$.options.degree_bound"),
     (["validate"], {"field": {"kind": "quadratic", "D": 4}}, "$.field.D"),
     (["validate"], {"field": {"kind": "quadratic", "D": -(10**21) - 117}}, "$.field.D"),
     (["validate"], _l3("n", "two"), "$.n"),
@@ -198,6 +209,8 @@ BAD_FLAGS = [
     (["witness", "--case", "2", "--l", "1000", "--q", "0,1"], "--l"),
     # |D| above 10^18, where the squarefree test would take seconds
     (["catalog", "--case", "2", "--D", "1000000000000000000117", "--q", "1"], "--D"),
+    # a box of 201^2 monomials is refused before it is walked
+    (["invariants", "--degree-bound", "100", case("case2_sqrt5.json")], "--degree-bound"),
 ]
 
 
@@ -212,6 +225,19 @@ def test_out_of_range_flag_exits_2(argv, flag, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert f"argument {flag}: must be at least" in err or f"parse error: {flag}:" in err, err
+
+
+@pytest.mark.parametrize("command", ["validate", "invariants"])
+def test_monomial_box_is_refused_before_it_is_walked(command, tmp_path, capsys):
+    # n = 10 at b = 3 is a box of 7^10 monomials; the refusal gives its size and
+    # the bound, and exits 2 at once.  At b = 0 the box is one monomial and runs
+    doc = _write(tmp_path / "n10.json", _trivial(10))
+    start = time.perf_counter()
+    assert main([command, str(doc)]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert f"$.n: the monomial box has {7 ** 10} monomials, above the bound {cli.MONOMIAL_BOX_BOUND}" in err
+    assert main([command, str(doc), "--degree-bound", "0"]) == 0
 
 
 @pytest.mark.parametrize(

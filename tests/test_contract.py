@@ -130,17 +130,13 @@ def attribute_uses(tree, attr):
 
 
 def test_monomial_table_dict_is_read_in_one_place():
-    # a monomial table's dict is interned once, by _classify, into the arrays every
-    # other consumer reads; the dict itself serves only mul
+    # a monomial algebra is its arrays: a dict table given to the constructor is
+    # read once, by _classify, as an argument, and not kept; mul and every other
+    # reader use the arrays.  Only the transported rational form stores a table
     uses = set()
     for name, tree in library_modules():
         uses.update((name, where, ctx) for where, ctx in attribute_uses(tree, "table"))
-    assert uses == {
-        ("specialization.py", "FiniteDimAlgebra.__init__", "Store"),
-        ("specialization.py", "FiniteDimAlgebra._transported", "Store"),
-        ("specialization.py", "FiniteDimAlgebra._classify", "Load"),
-        ("specialization.py", "FiniteDimAlgebra.mul", "Load"),
-    }
+    assert uses == {("specialization.py", "FiniteDimAlgebra._transported", "Store")}
 
 
 def test_no_certificate_multiplies_through_mul():

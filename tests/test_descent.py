@@ -8,7 +8,6 @@ import pytest
 from qtorus import _linalg
 from qtorus.descent import (
     _fixed_point_basis,
-    central_elements_up_to,
     central_lattice,
     center_generators,
     completeness_sweep,
@@ -28,6 +27,15 @@ from qtorus.specialization import CentralCharacter, specialize
 from qtorus.torus import QMatrix, TwistedLaurentElement, term_key
 
 CASES = Path(__file__).resolve().parent.parent / "cases"
+
+
+def central_elements_up_to(qmatrix, bound):
+    """All exponents m with |m|_inf <= bound whose monomials are central,
+
+    found by the defining commutation identity (independent of any
+    lattice computation, so usable as an oracle against it).
+    """
+    return [m for m in product(range(-bound, bound + 1), repeat=qmatrix.n) if qmatrix.is_central_exponent(m)]
 ACTION_CASES = sorted(p.name for p in CASES.glob("*.json") if "action" in load_json(p))
 
 

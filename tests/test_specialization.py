@@ -1,7 +1,8 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import permutations, product
-from math import comb
+from math import comb, gcd
 
 import pytest
 
@@ -15,16 +16,55 @@ from qtorus.specialization import (
     FiniteDimAlgebra,
     _quotient_algebra,
     catalog_case,
-    commutative_cyclic,
     crossed_product_witness,
-    cyclic_algebra,
     cyclic_decomposition,
     embed_monomial,
     rational_form,
     specialize,
-    truncated_line,
 )
 from qtorus.torus import QMatrix
+
+
+def cyclic_algebra(field, l, a, b, omega):
+    """Algebra with x^l = a, y^l = b, x y = omega y x, built directly (an independent oracle)."""
+    a, b, omega = field.element(a), field.element(b), field.element(omega)
+    labels = [(i, j) for i in range(l) for j in range(l)]
+    index = {lab: t for t, lab in enumerate(labels)}
+    table = {}
+    for t1, (i, j) in enumerate(labels):
+        for t2, (i2, j2) in enumerate(labels):
+            coeff = omega ** (-j * i2) * a ** ((i + i2) // l) * b ** ((j + j2) // l)
+            table[(t1, t2)] = {index[((i + i2) % l, (j + j2) % l)]: coeff}
+    return FiniteDimAlgebra(field, labels, table, {index[(0, 0)]: field.one()})
+
+
+def commutative_cyclic(field, l, a):
+    """L[x]/(x^l - a)."""
+    a = field.element(a)
+    table = {}
+    for i in range(l):
+        for j in range(l):
+            table[(i, j)] = {(i + j) % l: a ** ((i + j) // l)}
+    return FiniteDimAlgebra(field, tuple(range(l)), table, {0: field.one()})
+
+
+def truncated_line(field):
+    """L[x]/(x^2), the smallest algebra with a nonzero radical."""
+    one = field.one()
+    table = {(0, 0): {0: one}, (0, 1): {1: one}, (1, 0): {1: one}, (1, 1): {}}
+    return FiniteDimAlgebra(field, (0, 1), table, {0: one})
+
+
+def table_of(alg):
+    """The dict table {(i, j): {target: coefficient}} of an algebra: the one a
+    transported algebra keeps, else read back off a monomial table's arrays."""
+    try:
+        return alg.table
+    except AttributeError:
+        n, tgt, cid, vals = alg.dim, alg._tgt, alg._cid, alg._vals
+        return {
+            (i, j): {tgt[i][j]: vals[cid[i][j]]} if tgt[i][j] != n else {} for i in range(n) for j in range(n)
+        }
 
 
 @pytest.fixture
@@ -54,6 +94,10 @@ def test_specialize_standard_c3(swap3, zeta3):
     lhs = alg.mul(X, Y)
     rhs = {k: z * c for k, c in alg.mul(Y, X).items()}
     assert lhs == rhs
+    # an index outside range(dim) is refused, not read off the zero row or from the end
+    for bad in (9, -1):
+        with pytest.raises(PreconditionFailure, match=r"indices in range\(9\)"):
+            alg.mul({bad: z}, X)
 
 
 def test_specialize_matches_direct_cyclic_oracle(swap3, zeta3):
@@ -63,7 +107,7 @@ def test_specialize_matches_direct_cyclic_oracle(swap3, zeta3):
     alg = specialize(swap3, char)
     oracle = cyclic_algebra(zeta3, 3, 2, 3, z)
     assert alg.labels == oracle.labels
-    assert alg.table == oracle.table
+    assert table_of(alg) == table_of(oracle)
 
 
 def test_specialize_trivial_q_is_one_dimensional():
@@ -168,12 +212,13 @@ def sympy_center_dim(alg):
     """Nullity over QQ of the commutator rows: the coefficient of e_r in [sum a_g e_g, e_h]."""
     sympy = pytest.importorskip("sympy")
     n, zero = alg.dim, alg.field.zero()
+    table = table_of(alg)
     rows = []
     for h in range(n):
         for r in range(n):
             row = []
             for g in range(n):
-                x = (alg.table[(g, h)].get(r, zero) - alg.table[(h, g)].get(r, zero)).coeffs[0]
+                x = (table[(g, h)].get(r, zero) - table[(h, g)].get(r, zero)).coeffs[0]
                 row.append(sympy.Rational(x.numerator, x.denominator))
             if any(row):
                 rows.append(row)
@@ -183,36 +228,31 @@ def sympy_center_dim(alg):
 def sympy_radical_dim(alg):
     """Nullity over QQ, in sympy, of the trace form tr(L_(e_i e_j)) of a table over Q."""
     sympy = pytest.importorskip("sympy")
-    n, zero = alg.dim, sympy.Integer(0)
+    n, zero, table = alg.dim, sympy.Integer(0), table_of(alg)
 
     def rat(c):
         x = c.coeffs[0]
         return sympy.Rational(x.numerator, x.denominator)
 
-    tr = [sum((rat(alg.table[(k, g)][g]) for g in range(n) if g in alg.table[(k, g)]), zero) for k in range(n)]
-    gram = sympy.Matrix(
-        n, n, lambda i, j: sum((rat(c) * tr[k] for k, c in alg.table[(i, j)].items()), zero)
-    )
+    tr = [sum((rat(table[(k, g)][g]) for g in range(n) if g in table[(k, g)]), zero) for k in range(n)]
+    gram = sympy.Matrix(n, n, lambda i, j: sum((rat(c) * tr[k] for k, c in table[(i, j)].items()), zero))
     return n - gram.rank()
 
 
 def trace_form_nullity(alg):
     """n minus the rank of the trace form tr(L_(e_i e_j)), over the table's own field."""
-    n, zero = alg.dim, alg.field.zero()
-    tr = [sum((alg.table[(k, g)].get(g, zero) for g in range(n)), zero) for k in range(n)]
-    gram = [
-        [sum((c * tr[k] for k, c in alg.table[(i, j)].items()), zero) for j in range(n)]
-        for i in range(n)
-    ]
+    n, zero, table = alg.dim, alg.field.zero(), table_of(alg)
+    tr = [sum((table[(k, g)].get(g, zero) for g in range(n)), zero) for k in range(n)]
+    gram = [[sum((c * tr[k] for k, c in table[(i, j)].items()), zero) for j in range(n)] for i in range(n)]
     return n - _linalg.rank(gram)
 
 
 def _rebased(alg, perm, s):
     """alg in the basis b_k = s e_perm[k], so its unit u e_z becomes (u / s) b_k with perm[k] = z."""
-    n, s = alg.dim, alg.field.from_rational(s)
+    n, s, old = alg.dim, alg.field.from_rational(s), table_of(alg)
     at = {p: k for k, p in enumerate(perm)}
     table = {
-        (i, j): {at[t]: s * c for t, c in alg.table[(perm[i], perm[j])].items()}
+        (i, j): {at[t]: s * c for t, c in old[(perm[i], perm[j])].items()}
         for i in range(n)
         for j in range(n)
     }
@@ -223,8 +263,8 @@ def _direct_sum(a, b):
     """a x b, with b's basis after a's: the unit has one index in each."""
     n, m = a.dim, b.dim
     table = {(i, j): {} for i in range(n + m) for j in range(n + m)}
-    table.update(a.table)
-    table.update({(n + i, n + j): {n + k: c for k, c in t.items()} for (i, j), t in b.table.items()})
+    table.update(table_of(a))
+    table.update({(n + i, n + j): {n + k: c for k, c in t.items()} for (i, j), t in table_of(b).items()})
     unit = {**a.unit, **{n + k: c for k, c in b.unit.items()}}
     return FiniteDimAlgebra(a.field, range(n + m), table, unit)
 
@@ -262,8 +302,9 @@ def test_radical_dim_counts_rows_off_the_unit(zeta3):
         assert alg.is_graded
         assert alg.radical_dim() == trace_form_nullity(alg) == want, alg.labels
         # explicit zero coefficients classify like absent ones
-        zeros = FiniteDimAlgebra(alg.field, alg.labels, _explicit_zeros(alg.table, alg.field), alg.unit)
-        assert alg.dim == 1 or zeros.table != alg.table
+        table = table_of(alg)
+        zeros = FiniteDimAlgebra(alg.field, alg.labels, _explicit_zeros(table, alg.field), alg.unit)
+        assert alg.dim == 1 or _explicit_zeros(table, alg.field) != table
         assert (zeros.is_monomial, zeros._tgt, _counts(zeros)) == (True, alg._tgt, _counts(alg))
         assert trace_form_nullity(zeros) == want
 
@@ -288,15 +329,17 @@ def test_malformed_table_raises_precondition_failure():
         FiniteDimAlgebra(field, (0, 1), table, {0: 2 * one})
     nil = truncated_line(field)
     with pytest.raises(PreconditionFailure, match="identity on basis index 0"):
-        FiniteDimAlgebra(field, nil.labels, nil.table, {1: one})
+        FiniteDimAlgebra(field, nil.labels, table_of(nil), {1: one})
 
 
-def test_construction_keeps_the_table_and_tests_no_entry_for_zero(monkeypatch):
-    # the caller's table is stored as given, and the dim-64 (4, 3) L-form is built
-    # with at most one zero test per distinct coefficient, not one per entry
+def test_construction_reads_the_table_once_and_tests_no_entry_for_zero(monkeypatch):
+    # the caller's table is read into the arrays and not kept, and the dim-64
+    # (4, 3) L-form is built from its arrays with at most one zero test per
+    # distinct coefficient, not one per entry
     field = NumberField.rationals()
     table = _group_table(field, tuple(range(3)), lambda g, h: (g + h) % 3)
-    assert FiniteDimAlgebra(field, range(3), table, {0: field.one()}).table is table
+    alg = FiniteDimAlgebra(field, range(3), table, {0: field.one()})
+    assert not hasattr(alg, "table") and table_of(alg) == table
     action, char = _swap_rung(NumberField.cyclotomic(4), [[0, 1, -1], [-1, 0, -1], [1, 1, 0]], [3, 3, -1])
     calls = []
     nonzero = FieldElement.__bool__
@@ -308,8 +351,64 @@ def test_construction_keeps_the_table_and_tests_no_entry_for_zero(monkeypatch):
     monkeypatch.setattr(FieldElement, "__bool__", spy)
     alg = specialize(action, char, which="l_center")
     monkeypatch.undo()
-    distinct = {c for t in alg.table.values() for c in t.values()}
+    distinct = {c for t in table_of(alg).values() for c in t.values()}
+    assert not hasattr(alg, "table") and len(distinct) == len(alg._vals) - 1
     assert alg.dim == 64 and len(calls) <= len(distinct) < 64
+
+
+def test_l_form_matches_the_structure_constant_formula_on_random_draws():
+    # a seeded differential check of the L-form: Q(zeta_l) with l in 2..6 and
+    # n in {2, 3}, l^n <= 125, a random antisymmetric S and an l-center character
+    # with rational values.  Every product e_g e_h is c(g, h) c(r, lam)^-1 chi(lam)
+    # e_r with g + h = r + lam (the ladder oracle's formula), the center is
+    # spanned by the g with S g == 0 mod l, the radical is 0, and the entries +
+    # declared_orders spelling of the same matrix gives the same arrays
+    rng = random.Random(14)
+    shapes = [(l, n) for l in (2, 3, 4, 5, 6) for n in (2, 3) if l**n <= 125]
+    for l, n in shapes + rng.sample(shapes, 4):
+        field = NumberField.cyclotomic(l)
+        S = [[0] * n for _ in range(n)]
+        for a in range(n):
+            for b in range(a + 1, n):
+                S[a][b] = rng.randrange(-l, l + 1)
+                S[b][a] = -S[a][b]
+        values = [Fraction(rng.choice((1, -1, 2, 3, -5)), rng.choice((1, 2, 7))) for _ in range(n)]
+        Q = QMatrix.from_root_of_unity(field, l, field.gen(), S)
+        char = CentralCharacter.for_l_center(Q, values)
+        alg = _quotient_algebra(Q, char)
+        labels = list(alg.labels)
+        assert sorted(labels) == list(product(range(l), repeat=n)), (l, S)
+        position = {lab: i for i, lab in enumerate(labels)}
+        for i, g in enumerate(labels):
+            for j, h in enumerate(labels):
+                s = [a + b for a, b in zip(g, h)]
+                r = tuple(x % l for x in s)
+                lam = tuple(x - y for x, y in zip(s, r))
+                want = Q.cocycle(g, h) * Q.cocycle(r, lam).inverse() * char.value(lam)
+                assert alg.mul(alg.basis_vec(i), alg.basis_vec(j)) == {position[r]: want}, (l, S, g, h)
+        central = sum(all(sum(a * x for a, x in zip(row, g)) % l == 0 for row in S) for g in labels)
+        assert (alg.center_dim(), alg.radical_dim()) == (central, 0), (l, S)
+        orders = [[l // gcd(x, l) for x in row] for row in S]
+        declared = QMatrix(field, Q.entries, declared_orders=orders)
+        twin = _quotient_algebra(declared, CentralCharacter(declared, char.lattice, values))
+        assert (twin.labels, twin._tgt, twin._cid, twin._vals) == (alg.labels, alg._tgt, alg._cid, alg._vals), (l, S)
+
+
+def test_l_form_holds_only_its_arrays():
+    # the dim-243 (3, 5) l-center L-form is built into its arrays with no
+    # per-product dict: about 1.3 MB stays allocated, where an N^2 dict table
+    # held about 20 MB
+    field = NumberField.cyclotomic(3)
+    S = [[0, 1, 0, 0, 1], [-1, 0, 0, 0, 0], [0, 0, 0, 1, 0], [0, 0, -1, 0, 0], [-1, 0, 0, 0, 0]]
+    Q = QMatrix.from_root_of_unity(field, 3, field.gen(), S)
+    char = CentralCharacter.for_l_center(Q, [2] * 5)
+    tracemalloc.start()
+    try:
+        alg = _quotient_algebra(Q, char)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert alg.dim == 243 and held < 4_000_000, held
 
 
 def test_rational_form_needs_a_monomial_table():
@@ -370,7 +469,7 @@ def _corruptions(alg, rng):
     n = alg.dim
     out = []
     for kind in ("coefficient", "target", "zero"):
-        table = dict(alg.table)
+        table = dict(table_of(alg))
         i, j = rng.randrange(1, n), rng.randrange(1, n)
         ((k, c),) = table[(i, j)].items()
         if kind == "coefficient":
@@ -398,24 +497,37 @@ def _zero_corruptions(alg, rng):
     n = alg.dim
     out = []
     for want_zero in (False, True):
-        pairs = [(i, j) for (i, j), t in sorted(alg.table.items()) if i and j and bool(t) != want_zero]
+        pairs = [(i, j) for (i, j), t in sorted(table_of(alg).items()) if i and j and bool(t) != want_zero]
         i, j = rng.choice(pairs)
-        table = dict(alg.table)
+        table = dict(table_of(alg))
         table[(i, j)] = {(i + j) % n: alg.field.gen()} if want_zero else {}
         out.append(table)
     return out
+
+
+def dict_mul(table, u, v):
+    """The product of two sparse vectors through a dict table, zero coefficients included."""
+    out = {}
+    for i, c in u.items():
+        for j, d in v.items():
+            for k, t in table[(i, j)].items():
+                s = out.get(k)
+                out[k] = c * d * t if s is None else s + c * d * t
+    return {k: c for k, c in out.items() if c}
 
 
 def generic_associativity(alg):
     """(True, None), or (False, the first triple (i, j, k) that fails).
 
     The reference oracle for ``check_associativity``, on any table: compares
-    (e_i e_j) e_k with e_i (e_j e_k) through ``mul`` on every triple, in
+    (e_i e_j) e_k with e_i (e_j e_k) through the algebra's dict table
+    (``dict_mul``, not the arrays ``mul`` reads) on every triple, in
     ``product(range(n), repeat=3)`` order.
     """
+    table = table_of(alg)
     for i, j, k in product(range(alg.dim), repeat=3):
-        left = alg.mul(alg.table[(i, j)], alg.basis_vec(k))
-        right = alg.mul(alg.basis_vec(i), alg.table[(j, k)])
+        left = dict_mul(table, table[(i, j)], alg.basis_vec(k))
+        right = dict_mul(table, alg.basis_vec(i), table[(j, k)])
         if left != right:
             return False, (i, j, k)
     return True, None
@@ -429,13 +541,13 @@ def test_cocycle_kernel_matches_generic_check():
     for field, l in ((NumberField.cyclotomic(3), 3), (NumberField.cyclotomic(4), 4)):
         for _ in range(3):
             alg = _random_quotient(field, l, rng)
-            tables.append((alg, alg.table))
+            tables.append((alg, table_of(alg)))
             tables.extend((alg, t) for t in _corruptions(alg, rng))
         nil = truncated_line(field)
-        tables.append((nil, nil.table))
+        tables.append((nil, table_of(nil)))
         for m in (4, 6):
             line = _graded_line(field, m)
-            tables.append((line, line.table))
+            tables.append((line, table_of(line)))
             tables.extend((line, t) for t in _zero_corruptions(line, rng))
     # tables that are not graded (the unit of E11, E12, E22 has two indices),
     # each also with a nonzero coefficient doubled
@@ -468,7 +580,7 @@ def test_light_test_falls_back_when_greedy_set_does_not_generate():
     # (it is 2 e_2), which breaks only triples whose middle is not 0 or 5
     field = NumberField.rationals()
     line = _graded_line(field, 6)
-    table = dict(line.table)
+    table = dict(table_of(line))
     table[(1, 1)] = {2: field.from_rational(4)}
     kernel = FiniteDimAlgebra._transported(field, line.labels, table, {5: field.one()})
     assert kernel._middles() == range(6)
@@ -481,7 +593,7 @@ def test_light_test_keeps_the_first_witness(zeta3):
     Q = QMatrix.from_root_of_unity(zeta3, 3, zeta3.gen(), [[0, 1], [-1, 0]])
     alg = _quotient_algebra(Q, CentralCharacter.for_l_center(Q, [2, 2]))
     assert alg._middles() == [0, 1, 3]
-    table = dict(alg.table)
+    table = dict(table_of(alg))
     ((k, c),) = table[(5, 2)].items()
     table[(5, 2)] = {k: 2 * c}
     kernel = FiniteDimAlgebra._transported(zeta3, alg.labels, table, alg.unit)
@@ -629,6 +741,8 @@ def test_transported_k_form_passes_generic_check(l, S, values):
     assert generic_associativity(alg_k) == (True, None)
     with pytest.raises(PreconditionFailure, match="not monomial"):
         alg_k.check_associativity()
+    with pytest.raises(PreconditionFailure, match="arrays of a monomial table"):
+        alg_k.mul(alg_k.basis_vec(0), alg_k.basis_vec(0))
 
 
 def test_rational_form_requires_rational_values(swap3, zeta3):
