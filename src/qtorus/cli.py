@@ -74,6 +74,12 @@ DEFAULT_OPTIONS = {"degree_bound": 3, "samples": 50}
 # machine with Python 3.11, and the time grows with the box
 MONOMIAL_BOX_BOUND = 20_000
 
+# the largest dimension (the character lattice's index) of a specialization
+# that specialize and decompose may build: on a 2-core machine with Python
+# 3.11, specialize --form k is the slowest of the three commands, at about
+# 1.1-1.7 s for dims 243-256, 2.6 s at 324, 7.6 s at 576 and 12.5 s at 729
+SPECIALIZATION_DIM_BOUND = 400
+
 
 def _option(spec, args, key):
     """An explicit flag, else the document's option, else the default."""
@@ -187,13 +193,24 @@ def cmd_normal_form(args):
 
 
 def _character_from_args(spec, args):
+    """(character, lattice name) from ``--chi`` or the document, refused before any
+    work when the lattice's index, the specialization's dimension, is above
+    ``SPECIALIZATION_DIM_BOUND``."""
     if args.chi:
-        return parse_character(spec.qmatrix, load_json(args.chi), "$")
-    if spec.character is None:
+        char, which = parse_character(spec.qmatrix, load_json(args.chi), "$")
+        path = "--chi"
+    elif spec.character is None:
         raise ProblemFormatError(
             "no character: add one to the problem or pass --chi FILE", "$.character"
         )
-    return spec.character, spec.which
+    else:
+        char, which, path = spec.character, spec.which, "$.character.lattice"
+    dim = char.lattice.index()
+    if dim > SPECIALIZATION_DIM_BOUND:
+        raise ProblemFormatError(
+            f"the specialization has dimension {dim}, above the bound {SPECIALIZATION_DIM_BOUND}", path
+        )
+    return char, which
 
 
 def cmd_specialize(args):

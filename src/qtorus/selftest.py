@@ -51,13 +51,12 @@ def _eq6_fields():
 
 
 def _random_qmatrix(field, unit, rng, n):
-    entries = [[field.one() for _ in range(n)] for _ in range(n)]
+    S = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            e = rng.randint(-3, 3)
-            entries[i][j] = unit ** e
-            entries[j][i] = unit ** (-e)
-    return QMatrix(field, entries)
+            S[i][j] = rng.randint(-3, 3)
+            S[j][i] = -S[i][j]
+    return QMatrix.from_unit_powers(field, unit, S)
 
 
 def criterion_commutation(seed):

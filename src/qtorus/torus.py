@@ -25,8 +25,9 @@ q[j][i] = q[i][j]^-1: c(m, k) has the exponent m_i k_j at (i, j), and
 Q(m, k) has m_i k_j - m_j k_i.  So ``QMatrix`` builds every such product
 as an integer exponent vector over those pairs (a whole ``power_product``
 adds into one vector) and evaluates it in the field once, in
-``QMatrix.evaluate``.  With root-of-unity data q[i][j] = epsilon^S[i][j],
-the vector becomes one exponent of epsilon mod l, read from a table.
+``QMatrix.evaluate``, as one exponent per generating unit: epsilon for
+root-of-unity data q[i][j] = epsilon^S[i][j], one unit u of infinite order
+from ``QMatrix.from_unit_powers``, else each q[i][j] itself.
 """
 
 from __future__ import annotations
@@ -54,22 +55,15 @@ class QMatrix:
     by ``pairs``, the strictly lower pairs (i, j) with i > j, and turned
     into a field element once, by ``evaluate``: ``cocycle``, ``bihom`` and
     ``power_product`` only add and multiply integers before that call.
-    With root-of-unity data, ``evaluate`` reduces
-    sum_t S[pairs[t]] * exps[t] mod l and reads ``eps_pows``, the powers
-    epsilon^0 .. epsilon^(l-1) built once (epsilon^0 is the field's shared
-    one); otherwise it multiplies entry powers from ``qpow``.
+    ``units`` presents the matrix, whatever its spelling, by generating
+    units u, each a triple (column, order, store): the nonzero (t, a) with
+    u^a a factor of q at ``pairs[t]``, the order l (0 unless known finite)
+    and the powers of u.  Root-of-unity data is one unit epsilon, stored in
+    ``eps_pows`` (epsilon^0 .. epsilon^(l-1)); other stores are caches
+    seeded with u^0, the field's shared one, and u^1 = u.
     """
 
-    __slots__ = (
-        "field",
-        "n",
-        "entries",
-        "root_of_unity",
-        "pairs",
-        "eps_pows",
-        "_eps_exps",
-        "_pow_cache",
-    )
+    __slots__ = ("field", "n", "entries", "root_of_unity", "pairs", "eps_pows", "units")
 
     def __init__(self, field, entries, declared_orders=None, root_of_unity=None):
         pows = None
@@ -122,39 +116,53 @@ class QMatrix:
             if pows is None:
                 root_of_unity, pows = synthesize_root_of_unity(self.entries, declared_orders)
         self.root_of_unity = root_of_unity
-        self.pairs = tuple((i, j) for i in range(1, n) for j in range(i))
+        self.pairs = pairs = tuple((i, j) for i in range(1, n) for j in range(i))
         self.eps_pows = pows
-        self._eps_exps = None if pows is None else tuple(root_of_unity[2][i][j] for i, j in self.pairs)
-        self._pow_cache = {}
+        if pows is None:  # each q[i][j] is its own unit
+            self.units = tuple((((t, 1),), 0, {0: one, 1: self.entries[i][j]}) for t, (i, j) in enumerate(pairs))
+        else:
+            l, _, S = root_of_unity
+            self.units = ((tuple((t, S[i][j]) for t, (i, j) in enumerate(pairs) if S[i][j]), l, pows),)
 
     @classmethod
     def from_root_of_unity(cls, field, l, epsilon, S):
         return cls(field, None, root_of_unity=(l, epsilon, S))
 
-    def qpow(self, i, j, e):
-        """q[i][j]^e, cached by (i, j, e)."""
-        key = (i, j, e)
-        got = self._pow_cache.get(key)
-        if got is None:
-            got = self.entries[i][j] ** e
-            self._pow_cache[key] = got
-        return got
+    @classmethod
+    def from_unit_powers(cls, field, u, S):
+        """q[i][j] = u^S[i][j] for one unit u; a u of finite order is root-of-unity data.
+
+        For u of infinite order, q[i][i] == 1 and q[i][j] * q[j][i] == 1,
+        checked by the plain constructor, hold exactly when S is antisymmetric.
+        """
+        u = field.element(u)
+        l = unit_order(u, 2 * field.degree ** 2)
+        if l is not None:
+            return cls.from_root_of_unity(field, l, u, S)
+        store = {0: field.one(), 1: u}
+        for s in set().union(*S) - store.keys():
+            store[s] = u ** s
+        Q = cls(field, [[store[s] for s in row] for row in S])
+        Q.units = ((tuple((t, S[i][j]) for t, (i, j) in enumerate(Q.pairs) if S[i][j]), 0, store),)
+        return Q
 
     def evaluate(self, exps):
         """prod_t q[i][j]^exps[t] over the strictly lower pairs (i, j) = self.pairs[t].
 
-        The one place where an exponent vector becomes a field element: one
-        table lookup with root-of-unity data, else one product per nonzero pair.
+        The one place where an exponent vector becomes a field element: per
+        unit, the exponent sum of its column, reduced mod a finite order, and
+        one read of its store; powers that are the shared one are skipped.
         """
-        pows = self.eps_pows
-        if pows is not None:
-            return pows[sum(s * e for s, e in zip(self._eps_exps, exps)) % len(pows)]
-        out = None
-        for (i, j), e in zip(self.pairs, exps):
-            if e:
-                p = self.qpow(i, j, e)
-                out = p if out is None else out * p
-        return self.field.one() if out is None else out
+        one = self.field.one()
+        out = one
+        for column, order, store in self.units:
+            s = sum(a * exps[t] for t, a in column)
+            p = store[s % order] if order else store.get(s)
+            if p is None:
+                p = store[s] = store[1] ** s
+            if p is not one:
+                out = p if out is one else out * p
+        return out
 
     def cocycle_exponents(self, m, k):
         """The exponent vector (m_i k_j) of c(m, k), indexed like ``pairs``."""

@@ -94,6 +94,20 @@ def _trivial(n, options=None):
     return doc if options is None else {**doc, "options": options}
 
 
+def _z13_commutative(character=True):
+    """Q(zeta13), n = 4, S = 0 and the trivial action: its l-center lattice has index 13^4."""
+    doc = {
+        "field": {"kind": "cyclotomic", "l": 13},
+        "n": 4,
+        "q": {"root_of_unity": {"l": 13, "s_matrix": [[0] * 4] * 4}},
+        "action": {"kind": "trivial"},
+    }
+    return {**doc, "character": _Z13_CHI} if character else doc
+
+
+_Z13_CHI = {"lattice": "l_center", "values": ["2", "3", "4", "5"]}
+
+
 # (argv before the file, document or raw text or bytes, JSON path the
 # error must name); every entry exits 2, none may crash or silently
 # truncate a float
@@ -103,6 +117,8 @@ MALFORMED = [
     (["validate"], _trivial(10), "$.n"),
     (["invariants"], _trivial(10), "$.n"),
     (["invariants"], _trivial(3, {"degree_bound": 20}), "$.options.degree_bound"),
+    # a specialization's dim^2 table is bounded before it is built: dim 13^4 would need 8 * 10^8 entries
+    (["specialize"], _z13_commutative(), "$.character.lattice"),
     (["validate"], {"field": {"kind": "quadratic", "D": 4}}, "$.field.D"),
     (["validate"], {"field": {"kind": "quadratic", "D": -(10**21) - 117}}, "$.field.D"),
     (["validate"], _l3("n", "two"), "$.n"),
@@ -238,6 +254,25 @@ def test_monomial_box_is_refused_before_it_is_walked(command, tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"$.n: the monomial box has {7 ** 10} monomials, above the bound {cli.MONOMIAL_BOX_BOUND}" in err
     assert main([command, str(doc), "--degree-bound", "0"]) == 0
+
+
+@pytest.mark.parametrize("command", ["specialize", "decompose"])
+def test_specialization_dimension_is_refused_before_it_is_built(command, tmp_path, capsys):
+    # the character's lattice has index 13^4 = 28,561, the dimension of the
+    # specialization; the refusal names what gave the character and exits 2 at once
+    doc = _write(tmp_path / "z13.json", _z13_commutative())
+    start = time.perf_counter()
+    assert main([command, str(doc)]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert (
+        f"$.character.lattice: the specialization has dimension {13 ** 4}, "
+        f"above the bound {cli.SPECIALIZATION_DIM_BOUND}"
+    ) in err
+    bare = _write(tmp_path / "z13_bare.json", _z13_commutative(character=False))
+    chi = _write(tmp_path / "chi.json", _Z13_CHI)
+    assert main([command, str(bare), "--chi", str(chi)]) == 2
+    assert f"--chi: the specialization has dimension {13 ** 4}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

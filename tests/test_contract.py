@@ -173,6 +173,47 @@ def test_declared_orders_are_read_only_by_qmatrix():
     assert not uses, uses
 
 
+def import_time_calls(tree):
+    """The callee of every call a module makes when it is imported: module and
+    class bodies, decorators and default values, but no function or lambda body
+    and no ``if __name__ == "__main__"`` block."""
+    found = []
+
+    def visit(node):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            decorators = getattr(node, "decorator_list", [])
+            for sub in decorators + node.args.defaults + [d for d in node.args.kw_defaults if d]:
+                visit(sub)
+            return
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'":
+            return
+        if isinstance(node, ast.Call):
+            found.append(ast.unparse(node.func))
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(tree)
+    return found
+
+
+def test_no_import_time_work_in_library():
+    # importing qtorus is set-up that every benchmark workload pays before its
+    # first op, so a module may call at import only what it calls today: its
+    # Fraction constants, its compiled patterns and its dataclass declarations
+    found = {}
+    for name, tree in library_modules():
+        for callee in import_time_calls(tree):
+            found[(name, callee)] = found.get((name, callee), 0) + 1
+    assert found == {
+        ("numfield.py", "Fraction"): 3,
+        ("problems.py", "re.compile"): 2,
+        ("problems.py", "dc_field"): 1,
+        ("descent.py", "dataclass"): 2,
+        ("zlattice.py", "dataclass"): 1,
+        ("report.py", "field"): 3,
+    }
+
+
 def test_failed_certificate_raises_verification_failed():
     # e1 e1 = e2 and e2 e1 = e1 but e1 e2 = 0: (e1 e1) e1 != e1 (e1 e1)
     field = NumberField.rationals()

@@ -79,6 +79,19 @@ def test_invalid_qmatrix_rejected(zeta3):
     for entries, kwargs, message in rows:
         with pytest.raises(ValueError, match=message):
             QMatrix(zeta3, entries, **kwargs)
+    sqrt5 = NumberField.quadratic(5)
+    u = 9 + 4 * sqrt5.gen()
+    unit_rows = [
+        (sqrt5, 0, S, "zero has no multiplicative order"),
+        (sqrt5, u, [[1, 1], [-1, 0]], r"q\[0\]\[0\] != 1"),
+        (zeta3, z, [[3, 1], [-1, 0]], "exponent matrix must be antisymmetric"),
+        (sqrt5, u, [[0, 1], [1, 0]], r"q\[0\]\[1\] \* q\[1\]\[0\] != 1"),
+        # z * z^2 == 1 passes the entry check, so only S itself is at fault
+        (zeta3, z, [[0, 1], [2, 0]], "exponent matrix must be antisymmetric"),
+    ]
+    for field, unit, exponents, message in unit_rows:
+        with pytest.raises(ValueError, match=message):
+            QMatrix.from_unit_powers(field, unit, exponents)
 
 
 def test_bihom_basis(Qz, zeta3):
@@ -420,27 +433,50 @@ def _ladder_matrices():
     return out
 
 
-def test_root_of_unity_evaluate_matches_pairwise_path():
-    # the epsilon-exponent lookup against the product over pairs of the same
-    # matrix without its root-of-unity data, on every such matrix in cases/
-    # and in the ladder
+def _unit_power_matrices():
+    """from_unit_powers matrices with seeded S, n = 1 .. 4: one unit of infinite
+    order over Q(sqrt5), and roots of unity of orders 3 and 5."""
+    rng = random.Random(23)
+    sqrt5, zeta3, zeta5 = NumberField.quadratic(5), NumberField.cyclotomic(3), NumberField.cyclotomic(5)
+    out = []
+    for field, u in ((sqrt5, 9 + 4 * sqrt5.gen()), (zeta3, zeta3.gen()), (zeta5, zeta5.gen())):
+        for n in range(1, 5):
+            S = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i + 1, n):
+                    S[i][j] = rng.randint(-4, 4)
+                    S[j][i] = -S[i][j]
+            out.append(QMatrix.from_unit_powers(field, u, S))
+    return out
+
+
+def test_evaluate_matches_product_over_pairs():
+    # evaluate against prod q[i][j]^exps[t] by plain ``**``, on every matrix in
+    # cases/, the declared-order twins of its root-of-unity ones, the ladder
+    # and seeded from_unit_powers matrices
     matrices = [load_problem(CASES / name).qmatrix for name in Q_CASES]
-    matrices = [Q for Q in matrices if Q.root_of_unity is not None]
-    assert len(matrices) == 4
-    matrices += _ladder_matrices()
+    twins = [
+        QMatrix(Q.field, Q.entries, declared_orders=_orders(Q.root_of_unity[0], Q.root_of_unity[2]))
+        for Q in matrices
+        if Q.root_of_unity is not None
+    ]
+    assert len(twins) == 4
+    matrices += twins + _ladder_matrices() + _unit_power_matrices()
     rng = random.Random(14)
     for Q in matrices:
-        pairwise = QMatrix(Q.field, Q.entries)
-        assert pairwise.eps_pows is None and Q.eps_pows[0] is Q.field.one()
+        assert (Q.eps_pows is None) == (Q.root_of_unity is None)
         for _ in range(30):
             exps = [rng.randint(-40, 40) for _ in Q.pairs]
-            assert Q.evaluate(exps) == pairwise.evaluate(exps), exps
+            expected = Q.field.one()
+            for (i, j), e in zip(Q.pairs, exps):
+                expected = expected * Q.entries[i][j] ** e
+            assert Q.evaluate(exps) == expected, exps
         assert Q.evaluate([0] * len(Q.pairs)) is Q.field.one()
 
 
-def test_qpow_is_periodic_in_the_declared_order():
+def test_evaluate_is_periodic_in_the_declared_order():
     # construction verified every order, declared or read off S, so q^e ==
-    # q^(e + o) for the exact order o; qpow itself takes the exponent as given
+    # q^(e + o) for the exact order o, on evaluate of e times a unit vector
     sqrt5 = NumberField.quadratic(5)
     matrices = [QMatrix(sqrt5, [[1, -1], [-1, 1]], declared_orders=[[1, 2], [2, 1]])]
     matrices += [load_problem(CASES / name).qmatrix for name in Q_CASES]
@@ -450,12 +486,33 @@ def test_qpow_is_periodic_in_the_declared_order():
             continue
         l, _, S = Q.root_of_unity
         orders = _orders(l, S)
-        for i, j in Q.pairs:
+        for t, (i, j) in enumerate(Q.pairs):
             o = orders[i][j]
             for e in range(-7, 8):
-                assert Q.qpow(i, j, e) == Q.qpow(i, j, e + o) == Q.entries[i][j] ** e
+                power = [e * (s == t) for s in range(len(Q.pairs))]
+                shifted = [(e + o) * (s == t) for s in range(len(Q.pairs))]
+                assert Q.evaluate(power) == Q.evaluate(shifted) == Q.entries[i][j] ** e
                 checked += 1
     assert checked
+
+
+def test_unit_power_evaluate_reads_its_cache(monkeypatch):
+    # one unit of infinite order: a second pass over the same exponent vectors
+    # reads every power from the unit's cache and multiplies nothing
+    sqrt5 = NumberField.quadratic(5)
+    S = [[0, 2, -1, 3], [-2, 0, 1, -3], [1, -1, 0, 2], [-3, 3, -2, 0]]
+    Q = QMatrix.from_unit_powers(sqrt5, 9 + 4 * sqrt5.gen(), S)
+    rng = random.Random(24)
+    vectors = [[rng.randint(-6, 6) for _ in Q.pairs] for _ in range(50)]
+    first = [Q.evaluate(exps) for exps in vectors]
+    calls = []
+    mul, pow_ = FieldElement.__mul__, FieldElement.__pow__
+    monkeypatch.setattr(FieldElement, "__mul__", lambda a, b: calls.append("mul") or mul(a, b))
+    monkeypatch.setattr(FieldElement, "__pow__", lambda a, e: calls.append("pow") or pow_(a, e))
+    second = [Q.evaluate(exps) for exps in vectors]
+    monkeypatch.undo()
+    assert calls == []
+    assert second == first
 
 
 def test_reduce_monomial_matches_inverse_formula():
