@@ -137,31 +137,25 @@ class FiniteDimAlgebra:
     Construction takes a monomial table only; any other raises
     ``PreconditionFailure`` naming its first product with two nonzero
     coefficients.  Associativity is certified on every triple, at any
-    dimension, never by sampling:
-
-    * a constructed table: the 2-cocycle identity of its coefficients, one
-      row of triples at a time (``check_associativity``), with the middle
-      index over a set M that the table certifies to generate it (Light's
-      test, ``_middles``): a proof for every triple at dim^2 |M| cost.  On a
-      quotient of rank n, M is the unit and n generators; a table where M
-      fails its certificate gets the dim^3 scan;
-    * the rational form built by ``rational_form``, not monomial: transported
-      from its L-form through an injective unital ring map, and the one
-      algebra that keeps its dict ``table`` (``_transported``).
+    dimension, never by sampling: the 2-cocycle identity of the
+    coefficients, one row of triples at a time (``check_associativity``),
+    with the middle index over a set M that the table certifies to generate
+    it (Light's test, ``_middles``): a proof for every triple at dim^2 |M|
+    cost.  On a quotient of rank n, M is the unit and n generators; a table
+    where M fails its certificate gets the dim^3 scan.
 
     ``center_dim`` and ``radical_dim`` are counts on the arrays of a graded
-    monomial table and raise on any other; a rational form's center and
-    radical are its L-form's.
+    table and raise on any other.  The rational form is not monomial and is
+    no ``FiniteDimAlgebra``: ``rational_form`` returns its table as a
+    ``RationalForm``, whose center and radical are its L-form's.
     """
 
-    __slots__ = ("field", "labels", "table", "unit", "is_monomial", "is_graded", "_tgt", "_cid", "_vals")
+    __slots__ = ("field", "labels", "unit", "is_graded", "_tgt", "_cid", "_vals")
 
     def __init__(self, field, labels, table, unit):
         self.field, self.labels = field, tuple(labels)
         self.unit = {k: c for k, c in unit.items() if c}
-        bad = self._classify(table)
-        if not self.is_monomial:
-            raise PreconditionFailure(f"product {bad} has two nonzero coefficients; the table is not monomial")
+        self._classify(table)
         self._certify()
 
     @classmethod
@@ -171,17 +165,6 @@ class FiniteDimAlgebra:
         self.field, self.labels, self.unit = field, tuple(labels), unit
         self._hold(*arrays)
         self._certify()
-        return self
-
-    @classmethod
-    def _transported(cls, field, labels, table, unit):
-        """An algebra stored as given, with no unit or associativity check: its
-        caller certified an injective map of the basis into an associative
-        algebra, unital and multiplicative on every basis pair."""
-        self = cls.__new__(cls)
-        self.field, self.labels, self.table = field, tuple(labels), table
-        self.unit = {k: c for k, c in unit.items() if c}
-        self._classify(table)
         return self
 
     def _certify(self):
@@ -194,19 +177,16 @@ class FiniteDimAlgebra:
             raise VerificationFailed("non-associative table", witness=witness)
 
     def _classify(self, table):
-        """Check every index of a dict table, read it into the arrays, and
-        return the first (i, j) whose product has two nonzero coefficients.
+        """Check every index of a dict table and read it into the arrays.
 
         A target or unit index that is not an int in ``range(dim)``, or a
-        missing product, raises ``PreconditionFailure``.  The table is
-        monomial when every product has at most one nonzero coefficient; its
-        arrays are ``_tgt`` and ``_cid``, (n+1) x (n+1) with row and column n
-        for zero, and ``_vals``, the coefficients interned by exact value
-        (equal ids mean equal elements, ``_vals[0]`` is zero).  A zero
-        coefficient gets the id of zero, so its product gets target n: no
-        coefficient is tested for zero.  Any other table (only
-        ``_transported`` keeps one) returns its first such product and leaves
-        the three arrays None.
+        missing product, raises ``PreconditionFailure``; after that scan, so
+        does the first (i, j) whose product has two nonzero coefficients.
+        The arrays of a monomial table are ``_tgt`` and ``_cid``,
+        (n+1) x (n+1) with row and column n for zero, and ``_vals``, the
+        coefficients interned by exact value (equal ids mean equal elements,
+        ``_vals[0]`` is zero).  A zero coefficient gets the id of zero, so
+        its product gets target n: no coefficient is tested for zero.
         """
         n = self.dim
         for z in self.unit:
@@ -231,19 +211,18 @@ class FiniteDimAlgebra:
                             if ti[j] != n:
                                 bad = (i, j)
                             ti[j], ci[j] = k, got
-        self._hold(*((tgt, cid, list(ids)) if bad is None else (None, None, None)))
-        return bad
+        if bad is not None:
+            raise PreconditionFailure(f"product {bad} has two nonzero coefficients; the table is not monomial")
+        self._hold(tgt, cid, list(ids))
 
     def _hold(self, tgt, cid, vals):
-        """Keep the arrays (None off a monomial table) and set ``is_graded``: e_g e_h
-        and e_h e_g share a target or are both zero, and distinct g give distinct
-        targets for each h (every L-form).  Then sum a_g e_g commutes with e_h iff
+        """Keep the arrays and set ``is_graded``: e_g e_h and e_h e_g share a
+        target or are both zero, and distinct g give distinct targets for each h
+        (every L-form).  Then sum a_g e_g commutes with e_h iff
         a_g c(g, h) == a_g c(h, g) for all g: central monomials span the center."""
         n = self.dim
-        self.is_monomial = monomial = tgt is not None
-        self.is_graded = monomial and (
-            tgt == [list(col) for col in zip(*tgt)]
-            and all(len(set(row) - {n}) == n + 1 - row.count(n) for row in tgt)
+        self.is_graded = tgt == [list(col) for col in zip(*tgt)] and all(
+            len(set(row) - {n}) == n + 1 - row.count(n) for row in tgt
         )
         self._tgt, self._cid, self._vals = tgt, cid, vals
 
@@ -256,7 +235,7 @@ class FiniteDimAlgebra:
 
     def mul(self, u, v):
         n, tgt, cid, vals = self.dim, self._tgt, self._cid, self._vals
-        if tgt is None or not all(0 <= k < n for w in (u, v) for k in w):
+        if not all(0 <= k < n for w in (u, v) for k in w):
             raise PreconditionFailure(f"mul reads the arrays of a monomial table at indices in range({n})")
         out = {}
         for i, c in u.items():
@@ -310,7 +289,7 @@ class FiniteDimAlgebra:
         """Associativity of a monomial table: c(i,j) c(ij,k) == c(j,k) c(i,jk).
 
         Returns (True, None), or (False, the first triple (i, j, k) that
-        fails); any other table raises ``PreconditionFailure``.
+        fails).
 
         With e_i e_j = c(i,j) e_ij, each side of (e_i e_j) e_k == e_i (e_j e_k)
         is a target and a product of two coefficients.  The coefficients' ids
@@ -326,8 +305,6 @@ class FiniteDimAlgebra:
         row differs there, the scan reruns over every j, so the witness is
         the first failing triple in ``product(range(n), repeat=3)`` order.
         """
-        if not self.is_monomial:
-            raise PreconditionFailure("check_associativity runs the cocycle identity; the table is not monomial")
         n, tgt, cid = self.dim, self._tgt, self._cid
         base = self._vals
         vals = base[:]
@@ -408,8 +385,7 @@ class FiniteDimAlgebra:
 
     def center_dim(self):
         """Dimension of the center: the count of central monomials of a graded
-        table, exact by ``_hold``; any other table raises.  A rational
-        form's center has its L-form's dimension (see ``rational_form``)."""
+        table, exact by ``_hold``; any other table raises."""
         if not self.is_graded:
             raise PreconditionFailure("center_dim counts central monomials; the table is not graded")
         n, tgt, cid = self.dim, self._tgt, self._cid
@@ -516,14 +492,27 @@ def embed_monomial(algebra, character, exponent):
     return {algebra.labels.index(r): unit}
 
 
+class RationalForm:
+    """The structure constants of a rational form on the basis ``range(dim)``.
+
+    ``table[(i, j)]`` is e_i e_j as a sparse {index: coefficient} dict over
+    Q, and ``unit`` the unit vector; both are certified by ``rational_form``.
+    """
+
+    __slots__ = ("dim", "table", "unit")
+
+    def __init__(self, dim, table, unit):
+        self.dim, self.table, self.unit = dim, table, unit
+
+
 def rational_form(action, character, algebra=None):
     """The fixed-point subalgebra over Q of the quotient over L.
 
-    Returns (FiniteDimAlgebra over Q, embedding) where the embedding
-    lists, per rational basis element, its L-coefficient vector inside
-    the quotient.  The embedded vectors are verified L-linearly
-    independent, which is exactly the statement that extension of
-    scalars recovers the quotient over L.
+    Returns (RationalForm, embedding) where the embedding lists, per
+    rational basis element, its L-coefficient vector inside the quotient.
+    The embedded vectors are verified L-linearly independent, which is
+    exactly the statement that extension of scalars recovers the quotient
+    over L.
 
     The rational table is not checked triple by triple: the embedding
     phi is injective (the L-rank certificate), reproduces the unit and
@@ -538,7 +527,7 @@ def rational_form(action, character, algebra=None):
     exact value, and the product of two ids is computed the first time the
     pair is met.  phi(e_i) phi(e_j) is then a list of (target, id) terms
     read from the L-form's ``_tgt`` and ``_cid``; ``algebra`` must be a
-    monomial table.  ``coords_of`` sums them on integer numerators over
+    ``FiniteDimAlgebra``.  ``coords_of`` sums them on integer numerators over
     one denominator, reads the coordinates at the pivots of the basis
     rows, and checks the reconstruction on integers.  Each distinct output
     coordinate x / L is built once.
@@ -546,7 +535,7 @@ def rational_form(action, character, algebra=None):
     Q = action.qmatrix
     if algebra is None:
         algebra = _quotient_algebra(Q, character)
-    if not algebra.is_monomial:
+    if not isinstance(algebra, FiniteDimAlgebra):
         raise PreconditionFailure("rational form needs a monomial quotient table")
     for v in character.values:
         if not v.is_rational():
@@ -652,8 +641,7 @@ def rational_form(action, character, algebra=None):
 
     table = {(i, j): coords_of(product_terms(i, j)) for i in range(N) for j in range(N)}
     unit = coords_of([(k, intern(c)) for k, c in algebra.unit.items()])
-    rational = FiniteDimAlgebra._transported(rationals, tuple(range(N)), table, unit)
-    return rational, vecs
+    return RationalForm(N, table, unit), vecs
 
 
 # ---------------------------------------------------------------------------

@@ -593,8 +593,16 @@ def test_invariants_cli(tmp_path):
 
 # -- fuzz: one leaf of a shipped problem document replaced -----------------
 
-FUZZ_POOL = [None, True, 0, -1, 2, 1.5, "", "x", "1/0", "0", "-3", [], {}, [0], [[]]]
-FUZZ_COMMANDS = [["validate", "--degree-bound", "1", "--samples", "2"], ["center"], ["specialize"]]
+# 10 and 10**6 reach the size bounds through $.n, l, D, the orders and the exponents
+FUZZ_POOL = [None, True, 0, -1, 2, 10, 10**6, 1.5, "", "x", "1/0", "0", "-3", [], {}, [0], [[]]]
+FUZZ_COMMANDS = [
+    ["validate", "--degree-bound", "1", "--samples", "2"],
+    ["center"],
+    ["specialize"],
+    ["specialize", "--form", "k"],
+    ["decompose"],
+    ["lcenter"],
+]
 
 
 def _leaf_paths(doc, path=()):

@@ -132,11 +132,15 @@ def attribute_uses(tree, attr):
 def test_monomial_table_dict_is_read_in_one_place():
     # a monomial algebra is its arrays: a dict table given to the constructor is
     # read once, by _classify, as an argument, and not kept; mul and every other
-    # reader use the arrays.  Only the transported rational form stores a table
+    # reader use the arrays.  Only the rational form's record stores a table
     uses = set()
     for name, tree in library_modules():
         uses.update((name, where, ctx) for where, ctx in attribute_uses(tree, "table"))
-    assert uses == {("specialization.py", "FiniteDimAlgebra._transported", "Store")}
+    assert uses == {("specialization.py", "RationalForm.__init__", "Store")}
+    # one kind of FiniteDimAlgebra: no flag tells a monomial table from another;
+    # only TwistedLaurentElement.is_monomial() is called, by the two catalogs
+    tree = dict(library_modules())["specialization.py"]
+    assert {where for where, _ in attribute_uses(tree, "is_monomial")} == {"catalog_case", "crossed_product_witness"}
 
 
 def test_no_certificate_multiplies_through_mul():

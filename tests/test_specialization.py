@@ -1,3 +1,4 @@
+import json
 import random
 import tracemalloc
 from fractions import Fraction
@@ -57,7 +58,7 @@ def truncated_line(field):
 
 def table_of(alg):
     """The dict table {(i, j): {target: coefficient}} of an algebra: the one a
-    transported algebra keeps, else read back off a monomial table's arrays."""
+    rational form holds, else read back off a monomial table's arrays."""
     try:
         return alg.table
     except AttributeError:
@@ -80,6 +81,15 @@ def swap3(zeta3):
 
 def l_center_char(action, values):
     return CentralCharacter.for_l_center(action.qmatrix, values)
+
+
+def uncertified(field, labels, table, unit):
+    """A monomial algebra read from ``table`` with no unit or associativity
+    check, so that ``check_associativity`` can be run on a failing table."""
+    alg = FiniteDimAlgebra.__new__(FiniteDimAlgebra)
+    alg.field, alg.labels, alg.unit = field, tuple(labels), {k: c for k, c in unit.items() if c}
+    alg._classify(table)
+    return alg
 
 
 def test_specialize_standard_c3(swap3, zeta3):
@@ -192,11 +202,7 @@ def test_center_dim_raises_off_graded_tables(zeta3):
     one = rationals.one()
     group, upper, null = (FiniteDimAlgebra(rationals, *args) for args in _ungraded_algebras(rationals))
     assert sympy_center_dim(null) == 3
-    # a non-monomial table: the transported dim-16 k-form
-    action, char = _swap_rung(NumberField.cyclotomic(4), [[0, 1], [-1, 0]], [2, 2])
-    alg_k, _ = rational_form(action, char)
-    assert not alg_k.is_monomial
-    for alg in (group, upper, null, alg_k):
+    for alg in (group, upper, null):
         assert not alg.is_graded
         with pytest.raises(PreconditionFailure):
             alg.center_dim()
@@ -211,7 +217,7 @@ def test_center_dim_raises_off_graded_tables(zeta3):
 def sympy_center_dim(alg):
     """Nullity over QQ of the commutator rows: the coefficient of e_r in [sum a_g e_g, e_h]."""
     sympy = pytest.importorskip("sympy")
-    n, zero = alg.dim, alg.field.zero()
+    n, zero = alg.dim, NumberField.rationals().zero()
     table = table_of(alg)
     rows = []
     for h in range(n):
@@ -305,7 +311,7 @@ def test_radical_dim_counts_rows_off_the_unit(zeta3):
         table = table_of(alg)
         zeros = FiniteDimAlgebra(alg.field, alg.labels, _explicit_zeros(table, alg.field), alg.unit)
         assert alg.dim == 1 or _explicit_zeros(table, alg.field) != table
-        assert (zeros.is_monomial, zeros._tgt, _counts(zeros)) == (True, alg._tgt, _counts(alg))
+        assert (zeros._tgt, _counts(zeros)) == (alg._tgt, _counts(alg))
         assert trace_form_nullity(zeros) == want
 
 
@@ -426,7 +432,7 @@ def test_construction_checks_every_triple(monkeypatch):
     check = FiniteDimAlgebra.check_associativity
 
     def spy(self, *args, **kwargs):
-        calls.append((self.dim, self.is_monomial, args, kwargs))
+        calls.append((self.dim, args, kwargs))
         return check(self, *args, **kwargs)
 
     monkeypatch.setattr(FiniteDimAlgebra, "check_associativity", spy)
@@ -434,11 +440,10 @@ def test_construction_checks_every_triple(monkeypatch):
     action, char = _swap_rung(NumberField.cyclotomic(4), [[0, 1], [-1, 0]], [2, 2])
     alg_k, _ = rational_form(action, char)
     # the L-form is checked at construction; the k-form is certified by transport
-    assert calls == [(126, True, (), {}), (16, True, (), {})]
-    assert not alg_k.is_monomial
+    assert calls == [(126, (), {}), (16, (), {})]
     first = next(ij for ij in sorted(alg_k.table) if sum(map(bool, alg_k.table[ij].values())) > 1)
     with pytest.raises(PreconditionFailure, match=rf"product \({first[0]}, {first[1]}\) has two nonzero"):
-        FiniteDimAlgebra(alg_k.field, alg_k.labels, alg_k.table, alg_k.unit)
+        FiniteDimAlgebra(NumberField.rationals(), range(alg_k.dim), alg_k.table, alg_k.unit)
     assert len(calls) == 2
 
 
@@ -505,29 +510,28 @@ def _zero_corruptions(alg, rng):
     return out
 
 
-def dict_mul(table, u, v):
-    """The product of two sparse vectors through a dict table, zero coefficients included."""
+def scaled_sum(terms):
+    """sum c * v over the (c, v) in terms, for sparse vectors v, zeros dropped."""
     out = {}
-    for i, c in u.items():
-        for j, d in v.items():
-            for k, t in table[(i, j)].items():
-                s = out.get(k)
-                out[k] = c * d * t if s is None else s + c * d * t
-    return {k: c for k, c in out.items() if c}
+    for c, v in terms:
+        for k, x in v.items():
+            s = out.get(k)
+            out[k] = c * x if s is None else s + c * x
+    return {k: x for k, x in out.items() if x}
 
 
 def generic_associativity(alg):
     """(True, None), or (False, the first triple (i, j, k) that fails).
 
-    The reference oracle for ``check_associativity``, on any table: compares
-    (e_i e_j) e_k with e_i (e_j e_k) through the algebra's dict table
-    (``dict_mul``, not the arrays ``mul`` reads) on every triple, in
-    ``product(range(n), repeat=3)`` order.
+    The reference oracle for ``check_associativity``, on any table, a rational
+    form's too: compares (e_i e_j) e_k = sum_t c_t e_t e_k with e_i (e_j e_k)
+    = sum_t c_t e_i e_t through the dict table, not the arrays ``mul``
+    reads, on every triple, in ``product(range(n), repeat=3)`` order.
     """
     table = table_of(alg)
     for i, j, k in product(range(alg.dim), repeat=3):
-        left = dict_mul(table, table[(i, j)], alg.basis_vec(k))
-        right = dict_mul(table, alg.basis_vec(i), table[(j, k)])
+        left = scaled_sum((c, table[(t, k)]) for t, c in table[(i, j)].items())
+        right = scaled_sum((c, table[(i, t)]) for t, c in table[(j, k)].items())
         if left != right:
             return False, (i, j, k)
     return True, None
@@ -562,9 +566,8 @@ def test_cocycle_kernel_matches_generic_check():
         # explicit zero coefficients ({k: 0} for {}, {k1: c, k2: 0} for {k1: c})
         # must classify and check like absent ones
         for given in (table, _explicit_zeros(table, alg.field)):
-            # stored as given and classified, so the kernel reads this table's targets
-            kernel = FiniteDimAlgebra._transported(alg.field, alg.labels, given, alg.unit)
-            assert kernel.is_monomial
+            # classified with no certificate, so the kernel reads this table's targets
+            kernel = uncertified(alg.field, alg.labels, given, alg.unit)
             want = generic_associativity(kernel)
             assert kernel.check_associativity() == want, alg.labels
             seen.append((kernel._tgt, kernel._cid, _counts(kernel), want))
@@ -582,7 +585,7 @@ def test_light_test_falls_back_when_greedy_set_does_not_generate():
     line = _graded_line(field, 6)
     table = dict(table_of(line))
     table[(1, 1)] = {2: field.from_rational(4)}
-    kernel = FiniteDimAlgebra._transported(field, line.labels, table, {5: field.one()})
+    kernel = uncertified(field, line.labels, table, {5: field.one()})
     assert kernel._middles() == range(6)
     assert kernel.check_associativity() == generic_associativity(kernel) == (False, (1, 1, 2))
 
@@ -596,7 +599,7 @@ def test_light_test_keeps_the_first_witness(zeta3):
     table = dict(table_of(alg))
     ((k, c),) = table[(5, 2)].items()
     table[(5, 2)] = {k: 2 * c}
-    kernel = FiniteDimAlgebra._transported(zeta3, alg.labels, table, alg.unit)
+    kernel = uncertified(zeta3, alg.labels, table, alg.unit)
     assert kernel.check_associativity() == generic_associativity(kernel) == (False, (1, 4, 2))
 
 
@@ -698,6 +701,26 @@ def test_rational_form_embeds_on_ladder_shapes(l, S, values):
     check_rational_form_embeds(action, char, alg_L, alg_k, embedding)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_ladder_stages_pass_the_benchmark_checks(n):
+    # the benchmark's ladder runs the L-form, center_dim, radical_dim and the
+    # k-form (rational_form(...)[0].dim), and its oracle reads mul and
+    # basis_vec: an API drift in any of them fails here, not as failed ops
+    import workloads
+
+    for seed in range(3):
+        rung = workloads.Rung.draw(3, n, random.Random(seed))
+        algebra = rung.l_form()
+        stage = {
+            "l_form": algebra,
+            "center_dim": algebra.center_dim(),
+            "radical_dim": algebra.radical_dim(),
+            "k_form": rung.k_form(algebra),
+        }
+        verdicts = workloads.check_rung(rung, stage)
+        assert verdicts.keys() == stage.keys() and all(ok for ok, _ in verdicts.values()), verdicts
+
+
 def test_dim27_k_form_center_matches_l_form():
     # the dim27 ladder shape, whose center (3) is larger than one
     action, char = _swap_rung(NumberField.cyclotomic(3), [[0, 1, 2], [-1, 0, 2], [-2, -2, 0]], [2, 2, -1])
@@ -731,18 +754,12 @@ def test_rational_form_rejects_products_outside_its_span(swap3):
     ids=["dim9", "dim27", "dim16"],
 )
 def test_transported_k_form_passes_generic_check(l, S, values):
-    # the generic scan through mul, on every triple, as an oracle for the
-    # associativity that rational_form transports from the L-form; the
-    # library's own check runs only on monomial tables
+    # the generic scan through the dict table, on every triple, as an oracle
+    # for the associativity that rational_form transports from the L-form
     action, char = _swap_rung(NumberField.cyclotomic(l), S, values)
     alg_k, _ = rational_form(action, char)
     assert alg_k.dim == l ** len(S)
-    assert not alg_k.is_monomial
     assert generic_associativity(alg_k) == (True, None)
-    with pytest.raises(PreconditionFailure, match="not monomial"):
-        alg_k.check_associativity()
-    with pytest.raises(PreconditionFailure, match="arrays of a monomial table"):
-        alg_k.mul(alg_k.basis_vec(0), alg_k.basis_vec(0))
 
 
 def test_rational_form_requires_rational_values(swap3, zeta3):
@@ -760,9 +777,90 @@ def test_rational_form_l2_trivial_action():
     assert alg_L.dim == 4
     alg_k, embedding = rational_form(action, char, alg_L)
     assert alg_k.dim == 4
-    assert alg_k.center_dim() == 1
-    assert alg_k.radical_dim() == 0
+    # the k-form here is monomial, so it is certified again by construction
+    rational = FiniteDimAlgebra(NumberField.rationals(), range(alg_k.dim), alg_k.table, alg_k.unit)
+    assert rational.center_dim() == 1
+    assert rational.radical_dim() == 0
     check_rational_form_embeds(action, char, alg_L, alg_k, embedding)
+
+
+def _swap_sign_draw(l, n, rng):
+    """A matrix, blocks and equivariant l-center values in the swap/sign pattern of the ladder.
+
+    q_ij = zeta_l^(S_ij), where swap (0 1) reverses S[0][1], a unit mod l,
+    and a sign on x_2 needs S[0][2] == S[1][2], any residue.  The matrix is
+    built from its entries and declared orders, so it carries the
+    (l, epsilon, S) that spelling synthesizes.  Swapped generators share a
+    value, and a sign generator gets +-1.
+    """
+    s = rng.choice([u for u in range(1 - l, l) if gcd(u, l) == 1])
+    v = Fraction(rng.choice((2, -3, 5, 7)), rng.choice((1, 2)))
+    if n == 2:
+        S, blocks, values = [[0, s], [-s, 0]], [{"swap": [0, 1]}], [v, v]
+    else:
+        b = rng.randrange(1 - l, l)
+        S, blocks = [[0, s, b], [-s, 0, b], [-b, -b, 0]], [{"swap": [0, 1]}, {"sign": -1}]
+        values = [v, v, Fraction(rng.choice((1, -1)))]
+    field = NumberField.cyclotomic(l)
+    entries = QMatrix.from_root_of_unity(field, l, field.gen(), S).entries
+    return QMatrix(field, entries, declared_orders=[[l // gcd(x, l) for x in row] for row in S]), blocks, values
+
+
+def _spellings(Q, blocks, values):
+    """The document of Q in the root_of_unity and the entries + declared_orders spellings."""
+    l, eps, S = Q.root_of_unity
+    common = {
+        "field": {"kind": "cyclotomic", "l": Q.field.param},
+        "n": Q.n,
+        "action": {"kind": "order2", "blocks": blocks},
+        "character": {"lattice": "l_center", "values": [str(v) for v in values]},
+    }
+    entries = [[[str(c) for c in q.coeffs] for q in row] for row in Q.entries]
+    orders = [[l // gcd(x, l) for x in row] for row in S]
+    return [
+        {**common, "q": {"root_of_unity": {"l": l, "epsilon": [str(c) for c in eps.coeffs], "s_matrix": S}}},
+        {**common, "q": {"entries": entries, "declared_orders": orders}},
+    ]
+
+
+def test_k_form_and_reports_on_random_draws(tmp_path):
+    # a seeded differential check of the k-form and the reports: Q(zeta_l) with
+    # l in {3, 4, 6} and n in {2, 3}, l^n <= 64, an order-2 swap/sign action and
+    # an equivariant l-center character.  Its k-form embeds
+    # (check_rational_form_embeds), its table is associative on every triple,
+    # and its sympy center and radical are the L-form's.  The same draw with
+    # unequal swapped values does not build, and raises a typed QTorusError.
+    # The root_of_unity spelling of the matrix's (l, epsilon, S) and its
+    # entries + declared_orders spelling give the same exit code and
+    # byte-identical specialize --form k and decompose reports
+    from qtorus.cli import main
+
+    rng = random.Random(25)
+    shapes = [(l, n) for l in (3, 4, 6) for n in (2, 3) if l**n <= 64]
+    problem, out = tmp_path / "problem.json", tmp_path / "report.json"
+    for l, n in shapes + rng.sample(shapes, 1):
+        Q, blocks, values = _swap_sign_draw(l, n, rng)
+        action = build_order2_action(Q, Q.field.galois, blocks)
+        char = CentralCharacter.for_l_center(Q, values)
+        alg_L = specialize(action, char, which="l_center")
+        alg_k, embedding = rational_form(action, char, alg_L)
+        check_rational_form_embeds(action, char, alg_L, alg_k, embedding)
+        if alg_k.dim <= 27:  # the dim^3 oracles; above, the embedding check stands
+            assert generic_associativity(alg_k) == (True, None), Q.root_of_unity
+            assert sympy_center_dim(alg_k) == alg_L.center_dim(), Q.root_of_unity
+            assert sympy_radical_dim(alg_k) == alg_L.radical_dim(), Q.root_of_unity
+        broken = [values[0], values[1] + 1] + values[2:]
+        with pytest.raises(InconsistentCharacter):
+            rational_form(action, CentralCharacter.for_l_center(Q, broken))
+        for vals, argv in product((values, broken), (["specialize", "--form", "k"], ["decompose"])):
+            seen = []
+            for doc in _spellings(Q, blocks, vals):
+                problem.write_text(json.dumps(doc))
+                out.unlink(missing_ok=True)
+                code = main(argv + [str(problem), "--json", str(out)])
+                seen.append((code, out.read_bytes() if out.exists() else None))
+            assert seen[0] == seen[1], (argv, Q.root_of_unity, vals)
+            assert seen[0][0] == (1 if vals is broken and argv[0] == "specialize" else 0), (argv, Q.root_of_unity, vals)
 
 
 def test_character_consistency_checked(swap3):
