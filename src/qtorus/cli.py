@@ -74,10 +74,15 @@ DEFAULT_OPTIONS = {"degree_bound": 3, "samples": 50}
 # machine with Python 3.11, and the time grows with the box
 MONOMIAL_BOX_BOUND = 20_000
 
+# the most random points validate may sample: 1,000 take about 0.4 s, 5,000
+# 1.7 s and 10,000 2.9 s on cases/case2_sqrt5.json on a 2-core machine with
+# Python 3.11, and the time grows with the count
+SAMPLES_BOUND = 10_000
+
 # the largest dimension (the character lattice's index) of a specialization
 # that specialize and decompose may build: on a 2-core machine with Python
 # 3.11, specialize --form k is the slowest of the three commands, at about
-# 1.1-1.7 s for dims 243-256, 2.6 s at 324, 7.6 s at 576 and 12.5 s at 729
+# 0.3-0.4 s for swap/sign l-center documents of dims 216-256 and 3.8 s at 729
 SPECIALIZATION_DIM_BOUND = 400
 
 
@@ -101,6 +106,16 @@ def _degree_bound(spec, args):
     return b
 
 
+def _samples(spec, args):
+    """The sample count, refused before any work above ``SAMPLES_BOUND``; the
+    error names what set it."""
+    samples = _option(spec, args, "samples")
+    if samples > SAMPLES_BOUND:
+        path = "--samples" if args.samples is not None else "$.options.samples"
+        raise ProblemFormatError(f"{samples} samples is above the bound {SAMPLES_BOUND}", path)
+    return samples
+
+
 def cmd_validate(args):
     rep = Report("validate", inputs={"problem": args.problem})
     try:
@@ -112,7 +127,7 @@ def cmd_validate(args):
     sub = validate_action(
         spec.action,
         degree_bound=_degree_bound(spec, args),
-        samples=_option(spec, args, "samples"),
+        samples=_samples(spec, args),
         seed=args.seed,
     )
     rep.extend(sub)

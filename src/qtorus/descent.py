@@ -4,9 +4,11 @@ The fixed subalgebra of a semilinear action is computed orbitwise.  The
 action permutes the L-lines of an orbit's monomials (with unit
 corrections), and by Galois descent their L-span V is L (x) V^G, so the
 trace v -> sum_sigma sigma(v) maps the line of the orbit's first monomial
-onto the fixed points V^G, a Q-space of dimension the orbit size.  One
+onto the fixed points V^G, a Q-space of dimension the orbit size.  The
 reduced row echelon form of those traces, under the degree-lexicographic
-term order, gives its canonical basis; exact certificates prove it.
+term order, gives its canonical basis; each orbit's traces lie on its own
+lines, so each orbit is reduced on its own columns.  Exact certificates
+prove the basis.
 
 A cocycle of units over a subgroup of the Galois group splits through a
 nonzero twisted sum b = sum_h gamma_h h(c): the splitting unit is b^{-1}.
@@ -72,11 +74,16 @@ def _fixed_point_basis(action, labels, image_of):
     basis, they are the nonzero rows of an RREF).
 
     The rows reduced are the traces sum_sigma sigma(t^j x_r), r the first
-    label of each orbit.  Whatever spanned them, three certificates make
-    the output a Q-basis of the fixed points: each vector is fixed by every
-    sigma, there is one per line, and the L-rank is full.  Then they span
-    the lines over L, so a fixed w = sum a_b out_b has unique coordinates,
-    sigma(a_b) = a_b for every sigma and a_b is in Q.  RREF is unique.
+    label of each orbit.  They lie on the orbit's lines, so each orbit's d
+    traces are reduced on its own d |O| columns, and the rows of all orbits,
+    merged by pivot, are the RREF of all traces (RREF is unique).  Whatever
+    spanned them, three certificates make the output a Q-basis of the fixed
+    points: each vector is fixed by every sigma, there is one per line, and
+    each orbit's lines have full L-rank on that orbit's vectors.  The orbits
+    cover the lines, so with the count they are disjoint and the L-rank is
+    full.  Then the vectors span the lines over L, so a fixed
+    w = sum a_b out_b has unique coordinates, sigma(a_b) = a_b for every
+    sigma and a_b is in Q.
     """
     field = action.qmatrix.field
     d = field.degree
@@ -85,29 +92,36 @@ def _fixed_point_basis(action, labels, image_of):
     moves = {idx: [image_of(idx, lab) for lab in labels] for idx in others}
     conjugates = {idx: [action.sigma(idx)(t) for t in field.basis()] for idx in others}
 
-    traces = []
+    blocks, rows = [], []  # (orbit labels, its vectors); (global pivot, vector)
     seen = set()
     for p, r in enumerate(labels):
         if r in seen:
             continue
-        seen.update(moves[idx][p][1] for idx in others)
+        members = sorted({p}.union(pos[moves[idx][p][1]] for idx in others))
+        at = {q: k * d for k, q in enumerate(members)}
+        traces = []
         for j in range(d):
-            row = [_ZERO] * (len(labels) * d)
-            row[p * d + j] += 1
+            row = [_ZERO] * (len(members) * d)
+            row[at[p] + j] += 1
             for idx in others:
                 unit, lab2 = moves[idx][p]
-                for i, x in enumerate((conjugates[idx][j] * unit).coeffs, pos[lab2] * d):
+                for i, x in enumerate((conjugates[idx][j] * unit).coeffs, at[pos[lab2]]):
                     row[i] += x
             traces.append(row)
-    reduced, pivots = _linalg.rref(traces)
-    out = []
-    for vec in reduced[: len(pivots)]:
-        coeffs = {}
-        for p, lab in enumerate(labels):
-            block = vec[p * d : (p + 1) * d]
-            if any(block):
-                coeffs[lab] = field.element(block)
-        out.append(coeffs)
+        reduced, pivots = _linalg.rref(traces)
+        vecs = []
+        for vec, c in zip(reduced, pivots):
+            coeffs = {}
+            for k, q in enumerate(members):
+                block = vec[k * d : (k + 1) * d]
+                if any(block):
+                    coeffs[labels[q]] = field.element(block)
+            vecs.append(coeffs)
+            rows.append((members[c // d] * d + c % d, coeffs))
+        blocks.append(([labels[q] for q in members], vecs))
+        seen.update(blocks[-1][0])
+    rows.sort(key=lambda row: row[0])
+    out = [vec for _, vec in rows]
     witness = {"first_label": labels[0], "fixed": len(out), "lines": len(labels)}
     for idx in others:
         sig = action.sigma(idx)
@@ -121,9 +135,10 @@ def _fixed_point_basis(action, labels, image_of):
                 raise VerificationFailed("descent output is not fixed", witness=witness)
     if len(out) != len(labels):
         raise VerificationFailed("descent dimension mismatch", witness=witness)
-    rows = [[vec.get(lab, field.zero()) for vec in out] for lab in labels]
-    if _linalg.rank(rows) != len(labels):
-        raise VerificationFailed("fixed points do not span the lines over L", witness=witness)
+    zero = field.zero()
+    for lines, vecs in blocks:
+        if _linalg.rank([[vec.get(lab, zero) for vec in vecs] for lab in lines]) != len(lines):
+            raise VerificationFailed("fixed points do not span the lines over L", witness=witness)
     return out
 
 

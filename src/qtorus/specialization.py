@@ -523,14 +523,19 @@ def rational_form(action, character, algebra=None):
     radical dimensions of ``algebra`` are the rational form's as well.
 
     The table runs on interned coefficients and integer coordinates.  Ids
-    start from the L-form's ``_vals``, each coefficient of phi gets one by
-    exact value, and the product of two ids is computed the first time the
-    pair is met.  phi(e_i) phi(e_j) is then a list of (target, id) terms
-    read from the L-form's ``_tgt`` and ``_cid``; ``algebra`` must be a
-    ``FiniteDimAlgebra``.  ``coords_of`` sums them on integer numerators over
-    one denominator, reads the coordinates at the pivots of the basis
-    rows, and checks the reconstruction on integers.  Each distinct output
-    coordinate x / L is built once.
+    start from the L-form's ``_vals`` (id 0 is zero), each coefficient of phi
+    gets one by exact value, and the product or sum of two ids is computed
+    the first time the pair is met.  phi(e_i) phi(e_j) is read from the
+    L-form's ``_tgt`` and ``_cid`` (``algebra`` must be a ``FiniteDimAlgebra``)
+    and summed per target label.  Each phi(e_b) lies on one Galois orbit of
+    labels, its block, so the product's value on each block it reaches is
+    reconstructed against that block's rows alone: ``coords_of`` sums it on
+    integer numerators over one denominator, reads the coordinates at the
+    pivots, and checks the reconstruction on integers.  A block value is
+    keyed by its block and the value ids at the block's labels; the first
+    product that meets a key checks it, and later ones reuse the checked
+    coordinates, so every product is still reconstructed exactly.  Each
+    distinct output coordinate x / L is built once.
     """
     Q = action.qmatrix
     if algebra is None:
@@ -567,13 +572,20 @@ def rational_form(action, character, algebra=None):
             flat.append((c.den, [(t, x) for t, x in enumerate(c.num) if x]))
         return got
 
-    memo = {}
+    products, sums = {}, {}
 
     def times(x, y):
         """The id of vals[x] * vals[y], multiplied the first time the pair is met."""
-        got = memo.get((x, y))
+        got = products.get((x, y))
         if got is None:
-            got = memo[(x, y)] = intern(vals[x] * vals[y])
+            got = products[(x, y)] = intern(vals[x] * vals[y])
+        return got
+
+    def plus(x, y):
+        """The id of vals[x] + vals[y], added the first time the pair is met."""
+        got = sums.get((x, y))
+        if got is None:
+            got = sums[(x, y)] = intern(vals[x] + vals[y])
         return got
 
     for c in algebra._vals:
@@ -630,16 +642,38 @@ def rational_form(action, character, algebra=None):
             raise InconsistentCharacter("product left the rational form")
         return {b: rational_of(x, L) for b, x in c}
 
-    def product_terms(i, j):
-        """phi(e_i) phi(e_j) as (target, value id) terms, read from the L-form's arrays."""
-        return [
-            (tgt[a][b], times(times(x, y), cid[a][b]))
-            for a, x in phi[i]
-            for b, y in phi[j]
-            if tgt[a][b] != N
-        ]
-
-    table = {(i, j): coords_of(product_terms(i, j)) for i in range(N) for j in range(N)}
+    # each phi(e_b) is fixed, so its support is one orbit of labels: a block
+    blocks = {}
+    for v in phi:
+        blocks.setdefault(tuple(k for k, _ in v), len(blocks))
+    block_of = {k: blk for labs, blk in blocks.items() for k in labs}
+    block_labels = list(blocks)
+    term_of, verified, table = {}, {}, {}
+    for i in range(N):
+        for j in range(N):
+            # phi(e_i) phi(e_j) as a value id per target label; a term's id,
+            # keyed by (x, y, c), is made through the pair products of times
+            value = {}
+            for a, x in phi[i]:
+                ta, ca = tgt[a], cid[a]
+                for b, y in phi[j]:
+                    k = ta[b]
+                    if k != N:
+                        c = ca[b]
+                        z = term_of.get((x, y, c))
+                        if z is None:
+                            z = term_of[(x, y, c)] = times(times(x, y), c)
+                        s = value.get(k)
+                        value[k] = z if s is None else plus(s, z)
+            coords = {}
+            for blk in {block_of[k] for k in value}:
+                labs = block_labels[blk]
+                key = (blk, tuple(map(value.get, labs)))
+                got = verified.get(key)
+                if got is None:
+                    got = verified[key] = coords_of([(k, z) for k, z in zip(labs, key[1]) if z])
+                coords.update(got)
+            table[(i, j)] = dict(sorted(coords.items()))
     unit = coords_of([(k, intern(c)) for k, c in algebra.unit.items()])
     return RationalForm(N, table, unit), vecs
 

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from qtorus import cli, torus
 from qtorus.cli import main
+from qtorus.problems import load_problem
 from qtorus.report import Report
 from workloads import corpus_ops, load_goldens, op_id
 
@@ -172,6 +173,8 @@ MALFORMED = [
     (["validate"], _case2_entries([[["1"], ["9", "4"]], [["9", "-4"]]]), "$.q.entries[1]"),
     (["validate"], _l3("options", {"degree_bound": -1}), "$.options.degree_bound"),
     (["invariants"], _l3("options", {"samples": 0}), "$.options.samples"),
+    # above cli.SAMPLES_BOUND, refused before validate samples anything
+    (["validate"], _l3("options", {"samples": 10**6}), "$.options.samples"),
     # only degree_bound and samples are read; a misspelt key must not fall back to the default
     (["invariants"], _l3("options", {"degree_bond": 9}), "$.options.degree_bond"),
     (["invariants"], _l3("options", {"degree_bound": 1, "seed": 4}), "$.options.seed"),
@@ -227,6 +230,8 @@ BAD_FLAGS = [
     (["catalog", "--case", "2", "--D", "1000000000000000000117", "--q", "1"], "--D"),
     # a box of 201^2 monomials is refused before it is walked
     (["invariants", "--degree-bound", "100", case("case2_sqrt5.json")], "--degree-bound"),
+    # 200,000 samples ran for over a minute; above cli.SAMPLES_BOUND they are refused
+    (["validate", "--samples", "200000", case("case2_sqrt5.json")], "--samples"),
 ]
 
 
@@ -254,6 +259,22 @@ def test_monomial_box_is_refused_before_it_is_walked(command, tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"$.n: the monomial box has {7 ** 10} monomials, above the bound {cli.MONOMIAL_BOX_BOUND}" in err
     assert main([command, str(doc), "--degree-bound", "0"]) == 0
+
+
+def test_samples_above_the_bound_are_refused_before_validate_runs(tmp_path, capsys):
+    # the refusal names the flag or the document path, the count and the bound;
+    # at the bound itself validate runs
+    bound = cli.SAMPLES_BOUND
+    doc = _write(tmp_path / "many.json", _l3("options", {"samples": bound + 1}))
+    start = time.perf_counter()
+    assert main(["validate", str(doc)]) == 2
+    assert main(["validate", case("case2_sqrt5.json"), "--samples", str(bound + 1)]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert f"$.options.samples: {bound + 1} samples is above the bound {bound}" in err
+    assert f"--samples: {bound + 1} samples is above the bound {bound}" in err
+    at_bound = cli.build_parser().parse_args(["validate", str(doc), "--samples", str(bound)])
+    assert cli._samples(load_problem(str(doc)), at_bound) == bound
 
 
 @pytest.mark.parametrize("command", ["specialize", "decompose"])

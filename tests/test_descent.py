@@ -370,6 +370,17 @@ def monomial_image_of(action):
     return image_of
 
 
+def quotient_image_of(action, char):
+    """image_of for the lines of a quotient: sigma's monomial image, reduced by the character."""
+
+    def image_of(idx, g):
+        exp, coeff = action.monomial_image(idx, g)
+        r, unit = char.reduce_monomial(exp)
+        return coeff * unit, r
+
+    return image_of
+
+
 def sympy_fixed_rref(action, labels, image_of):
     """Nonzero RREF rows of the kernel of the stacked (sigma - 1) system, over QQ in sympy."""
     sympy = pytest.importorskip("sympy")
@@ -433,15 +444,9 @@ def test_trace_basis_matches_sympy_on_ladder_quotient(zeta3, S, values):
     blocks = [{"swap": [0, 1]}] + [{"sign": -1}] * (len(S) - 2)
     action = build_order2_action(Q, zeta3.galois, blocks)
     char = CentralCharacter.for_l_center(Q, values)
-
-    def image_of(idx, g):
-        exp, coeff = action.monomial_image(idx, g)
-        r, unit = char.reduce_monomial(exp)
-        return coeff * unit, r
-
     labels = specialize(action, char).labels
     assert len(labels) == 3 ** len(S)
-    assert_trace_basis_matches_oracle(action, labels, image_of)
+    assert_trace_basis_matches_oracle(action, labels, quotient_image_of(action, char))
 
 
 def test_fixed_point_certificate_rejects_a_non_action(sqrt5):
@@ -456,3 +461,92 @@ def test_fixed_point_certificate_rejects_a_non_action(sqrt5):
     bad = {"a": (one, "b"), "b": (two, "a")}
     with pytest.raises(VerificationFailed, match="not fixed"):
         _fixed_point_basis(action, ["a", "b"], lambda idx, lab: bad[lab])
+
+
+def _corrupt_trace_reduction(monkeypatch, corrupt):
+    """Make the first ``_linalg.rref`` call, the trace reduction of the one
+    orbit, return ``corrupt(reduced, pivots)``; the L-rank check runs later."""
+    rref, calls = _linalg.rref, []
+
+    def fake(rows):
+        reduced, pivots = rref(rows)
+        calls.append(None)
+        return corrupt(reduced, pivots) if len(calls) == 1 else (reduced, pivots)
+
+    monkeypatch.setattr(_linalg, "rref", fake)
+
+
+@pytest.mark.parametrize(
+    "corrupt, message, witness",
+    [
+        # one entry moved off the trace span: sigma maps the vector elsewhere
+        (
+            lambda red, piv: ([red[0][:-1] + [red[0][-1] + 1]] + red[1:], piv),
+            "descent output is not fixed",
+            {"first_label": (0, 1), "fixed": 2, "lines": 2, "sigma": 1},
+        ),
+        # a row dropped: still fixed, but one vector for two lines
+        (lambda red, piv: (red, piv[:1]), "descent dimension mismatch", {"first_label": (0, 1), "fixed": 1, "lines": 2}),
+        # a row repeated: fixed and two vectors, but of L-rank one
+        (
+            lambda red, piv: ([red[0], red[0]], piv),
+            "fixed points do not span the lines over L",
+            {"first_label": (0, 1), "fixed": 2, "lines": 2},
+        ),
+    ],
+    ids=["not-fixed", "count", "l-rank"],
+)
+def test_descent_certificates_fire(swap5, monkeypatch, corrupt, message, witness):
+    # the orbit {x1, x2} of the swap: two lines, two traces of rank two
+    _corrupt_trace_reduction(monkeypatch, corrupt)
+    with pytest.raises(VerificationFailed, match=message) as err:
+        invariant_basis(swap5, (1, 0))
+    assert err.value.witness == witness
+
+
+def global_descent(action, labels, image_of):
+    """The fixed-point basis as one RREF of every orbit's traces on all N d
+    columns: the descent before it went orbit by orbit, as an oracle."""
+    field = action.qmatrix.field
+    d = field.degree
+    pos = {lab: p for p, lab in enumerate(labels)}
+    others = range(1, len(action.galois))
+    traces, seen = [], set()
+    for p, r in enumerate(labels):
+        if r in seen:
+            continue
+        images = [image_of(idx, r) for idx in others]
+        seen.update(lab2 for _, lab2 in images)
+        for j, t in enumerate(field.basis()):
+            row = [Fraction(0)] * (len(labels) * d)
+            row[p * d + j] += 1
+            for idx, (unit, lab2) in zip(others, images):
+                for i, x in enumerate((action.sigma(idx)(t) * unit).coeffs, pos[lab2] * d):
+                    row[i] += x
+            traces.append(row)
+    reduced, pivots = _linalg.rref(traces)
+    out = []
+    for vec in reduced[: len(pivots)]:
+        blocks = {lab: vec[p * d : (p + 1) * d] for p, lab in enumerate(labels)}
+        out.append({lab: field.element(block) for lab, block in blocks.items() if any(block)})
+    return out
+
+
+def test_orbitwise_descent_matches_one_global_rref(rotation5):
+    # the quotient lines of the benchmark's rungs at seeds 0-2, and the order-4
+    # rotation5 quotients of its full center (dim 25) and its l-center (dim 125)
+    import workloads
+
+    cases = []
+    for (l, n), seed in product([(3, 2), (3, 3), (4, 3)], range(3)):
+        rung = workloads.Rung.draw(l, n, random.Random(seed))
+        cases.append((rung.action, rung.character, "l_center"))
+    Q = rotation5.qmatrix
+    cases.append((rotation5, CentralCharacter.for_full_center(Q, [1, 1, 1]), "full_center"))
+    cases.append((rotation5, CentralCharacter.for_l_center(Q, [1, 1, 2]), "l_center"))
+    for action, char, which in cases:
+        labels = specialize(action, char, which=which).labels
+        image_of = quotient_image_of(action, char)
+        got = _fixed_point_basis(action, labels, image_of)
+        want = global_descent(action, labels, image_of)
+        assert [list(v.items()) for v in got] == [list(v.items()) for v in want], (which, len(labels))

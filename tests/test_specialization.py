@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import tracemalloc
@@ -10,7 +11,12 @@ import pytest
 from qtorus import _linalg
 from qtorus.descent import central_lattice
 from qtorus.errors import InconsistentCharacter, PreconditionFailure
-from qtorus.galois_action import build_order2_action, build_trivial_action
+from qtorus.galois_action import (
+    build_explicit_action,
+    build_order2_action,
+    build_permutation_action,
+    build_trivial_action,
+)
 from qtorus.numfield import FieldElement, NumberField
 from qtorus.specialization import (
     CentralCharacter,
@@ -24,6 +30,7 @@ from qtorus.specialization import (
     specialize,
 )
 from qtorus.torus import QMatrix
+from qtorus.zlattice import mat_mul
 
 
 def cyclic_algebra(field, l, a, b, omega):
@@ -683,17 +690,19 @@ def test_rational_form_full_center(zeta3):
     check_rational_form_embeds(action, char, alg_L, alg_k, embedding)
 
 
-@pytest.mark.parametrize(
-    "l, S, values",
-    [
-        (3, [[0, 1, 2], [-1, 0, 2], [-2, -2, 0]], [2, 2, -1]),
-        (4, [[0, 1, -1], [-1, 0, -1], [1, 1, 0]], [3, 3, -1]),
-    ],
-    ids=["dim27", "dim64"],
-)
-def test_rational_form_embeds_on_ladder_shapes(l, S, values):
+# the swap/sign rungs of dims 9, 27 and 64, in the shapes the benchmark draws
+RUNG_SHAPES = {
+    "dim9": (3, [[0, 1], [-1, 0]], [2, 2]),
+    "dim27": (3, [[0, 1, 2], [-1, 0, 2], [-2, -2, 0]], [2, 2, -1]),
+    "dim64": (4, [[0, 1, -1], [-1, 0, -1], [1, 1, 0]], [3, 3, -1]),
+}
+
+
+@pytest.mark.parametrize("shape", ["dim27", "dim64"])
+def test_rational_form_embeds_on_ladder_shapes(shape):
     # the swap/sign rungs the benchmark times: the sign block gives orbits
     # with a nontrivial stabilizer, and the character has a unit value
+    l, S, values = RUNG_SHAPES[shape]
     action, char = _swap_rung(NumberField.cyclotomic(l), S, values)
     alg_L = specialize(action, char, which="l_center")
     alg_k, embedding = rational_form(action, char, alg_L)
@@ -701,15 +710,16 @@ def test_rational_form_embeds_on_ladder_shapes(l, S, values):
     check_rational_form_embeds(action, char, alg_L, alg_k, embedding)
 
 
-@pytest.mark.parametrize("n", [2, 3])
-def test_ladder_stages_pass_the_benchmark_checks(n):
+@pytest.mark.parametrize("l, n", [(3, 2), (3, 3), (4, 3)], ids=["2", "3", "dim64"])
+def test_ladder_stages_pass_the_benchmark_checks(l, n):
     # the benchmark's ladder runs the L-form, center_dim, radical_dim and the
     # k-form (rational_form(...)[0].dim), and its oracle reads mul and
-    # basis_vec: an API drift in any of them fails here, not as failed ops
+    # basis_vec: an API drift in any of them fails here, not as failed ops.
+    # (4, 3) over Q(i) is the dim-64 rung that dominates the ladder's time
     import workloads
 
     for seed in range(3):
-        rung = workloads.Rung.draw(3, n, random.Random(seed))
+        rung = workloads.Rung.draw(l, n, random.Random(seed))
         algebra = rung.l_form()
         stage = {
             "l_form": algebra,
@@ -742,6 +752,84 @@ def test_rational_form_rejects_products_outside_its_span(swap3):
     foreign = specialize(swap3, l_center_char(swap3, [2, 3]))
     with pytest.raises(InconsistentCharacter):
         rational_form(swap3, l_center_char(swap3, [2, 2]), foreign)
+
+
+@pytest.mark.parametrize("shape", ["dim9", "dim64"])
+def test_corrupted_basis_row_leaves_the_rational_form(monkeypatch, shape):
+    # "product left the rational form" is the k-form's transport certificate:
+    # double one coefficient of the last fixed-point vector and some product's
+    # value on that vector's orbit block no longer reconstructs
+    from qtorus import specialization
+
+    l, S, values = RUNG_SHAPES[shape]
+    action, char = _swap_rung(NumberField.cyclotomic(l), S, values)
+    alg_L = specialize(action, char, which="l_center")
+    fixed_point_basis = specialization._fixed_point_basis
+
+    def corrupted(*args):
+        vecs = fixed_point_basis(*args)
+        lab = next(iter(vecs[-1]))
+        vecs[-1][lab] = 2 * vecs[-1][lab]
+        return vecs
+
+    monkeypatch.setattr(specialization, "_fixed_point_basis", corrupted)
+    with pytest.raises(InconsistentCharacter, match="product left the rational form"):
+        rational_form(action, char, alg_L)
+
+
+@pytest.mark.parametrize("where", ["shared", "last"])
+def test_bad_l_form_value_is_never_served_from_the_cache(where):
+    # block values are checked once and their coordinates reused, keyed by the
+    # value ids at the block's labels.  "shared" doubles an L-form coefficient
+    # that many products read; "last" doubles only the product of the last two
+    # labels, so the block values it changes keep the support of good ones and
+    # differ by one id: a key coarser than the values would serve them unchecked
+    l, S, values = RUNG_SHAPES["dim27"]
+    action, char = _swap_rung(NumberField.cyclotomic(l), S, values)
+    alg_L = specialize(action, char, which="l_center")
+    n, tgt, cid = alg_L.dim, alg_L._tgt, alg_L._cid
+    table = table_of(alg_L)
+    if where == "shared":
+        uses = {}
+        for i, j in product(range(n), repeat=2):
+            if not alg_L._vals[cid[i][j]].is_rational():
+                uses.setdefault(cid[i][j], []).append((i, j))
+        pairs = max(uses.values(), key=len)
+        assert len(pairs) > 1
+    else:
+        pairs = [(n - 1, n - 1)]
+    for i, j in pairs:
+        table[(i, j)] = {tgt[i][j]: 2 * alg_L._vals[cid[i][j]]}
+    bad = uncertified(alg_L.field, alg_L.labels, table, alg_L.unit)
+    with pytest.raises(InconsistentCharacter, match="product left the rational form"):
+        rational_form(action, char, bad)
+
+
+def k_form_digest(alg_k, embedding):
+    """SHA-256 over every table entry, the unit and every embedding vector, in sorted order."""
+    h = hashlib.sha256()
+    for (i, j), vec in sorted(alg_k.table.items()):
+        h.update(repr((i, j, sorted((b, c.num, c.den) for b, c in vec.items()))).encode())
+    h.update(repr(sorted((b, c.num, c.den) for b, c in alg_k.unit.items())).encode())
+    for vec in embedding:
+        h.update(repr(sorted((lab, c.num, c.den) for lab, c in vec.items())).encode())
+    return h.hexdigest()
+
+
+def test_k_forms_keep_their_digest(rotation5):
+    # the rational forms of the dim 9/27/64 rungs and of the dim-25 order-4
+    # rotation5 full center, pinned byte for byte: K_FORM_SHA256 was printed by
+    # this body before the descent and the table went orbit block by block
+    digest = hashlib.sha256()
+    for l, S, values in RUNG_SHAPES.values():
+        action, char = _swap_rung(NumberField.cyclotomic(l), S, values)
+        digest.update(k_form_digest(*rational_form(action, char)).encode())
+    char = CentralCharacter.for_full_center(rotation5.qmatrix, [1, 1, 1])
+    digest.update(k_form_digest(*rational_form(rotation5, char)).encode())
+    assert digest.hexdigest() == K_FORM_SHA256
+
+
+K_FORM_SHA256 = "fc868ec06d15c3e15b17ffe7992ba282ff5fdd45e7701dc774fadb5a6ab78eee"
 
 
 @pytest.mark.parametrize(
@@ -861,6 +949,57 @@ def test_k_form_and_reports_on_random_draws(tmp_path):
                 seen.append((code, out.read_bytes() if out.exists() else None))
             assert seen[0] == seen[1], (argv, Q.root_of_unity, vals)
             assert seen[0][0] == (1 if vals is broken and argv[0] == "specialize" else 0), (argv, Q.root_of_unity, vals)
+
+
+def _order4_draw(l, rng):
+    """An action of Gal(Q(zeta5)/Q), cyclic of order 4, and an equivariant character.
+
+    sigma: zeta -> zeta^2 generates the group, and sigma^k acts by the k-th
+    power of one exponent matrix, with trivial cocycle.  l = 5: sigma rotates
+    x1 -> x2 -> x1^-1 and fixes x3 (the rotation5 pattern), which asks
+    S[0][1] == 0 and S[1][2] == 2 S[0][2] mod 5; the full center, spanned by
+    (1, 2, 0), (0, 5, 0) and (0, 0, 5), is equivariant for values (u, u, w),
+    u = +-1.  l = 2: q = +-1 is fixed by sigma, so the 4-cycle
+    x1 -> x2 -> x3 -> x4 asks a circulant S mod 2, and the l-center needs
+    one value on all four squares.
+    """
+    field = NumberField.cyclotomic(5)
+    group = field.galois
+    gen = next(i for i, aut in enumerate(group.elements) if aut.t_image == field.gen() ** 2)
+    w = Fraction(rng.choice((2, -3, 5, 7)), rng.choice((1, 2, 3)))
+    if l == 5:
+        s = rng.choice((1, 2, 3, 4))
+        Q = QMatrix.from_root_of_unity(field, 5, field.gen(), [[0, 0, s], [0, 0, 2 * s], [-s, -2 * s, 0]])
+        M, I = [[0, -1, 0], [1, 0, 0], [0, 0, 1]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+        mats, idx, P = {0: I}, gen, M
+        while idx != 0:
+            mats[idx], idx, P = P, group.compose_idx(gen, idx), mat_mul(M, P)
+        action = build_explicit_action(Q, group, [mats[i] for i in range(4)], [[field.one()] * 3] * 4)
+        u = rng.choice((1, -1))
+        return action, CentralCharacter.for_full_center(Q, [u, u, w]), "full_center"
+    a, b = rng.choice((0, 1)), rng.choice((0, 1))
+    S = [[0, a, b, -a], [-a, 0, a, b], [-b, -a, 0, a], [a, -b, -a, 0]]
+    Q = QMatrix.from_root_of_unity(field, 2, field.from_rational(-1), S)
+    perms, idx, p = {0: (0, 1, 2, 3)}, gen, (1, 2, 3, 0)
+    while idx != 0:
+        perms[idx], idx, p = p, group.compose_idx(gen, idx), tuple((x + 1) % 4 for x in p)
+    action = build_permutation_action(Q, group, perms)
+    return action, CentralCharacter.for_l_center(Q, [w] * 4), "l_center"
+
+
+def test_k_form_on_random_order4_draws():
+    # seeded draws whose Galois group has order 4, over Q(zeta5): l = 5 with
+    # orbits of four lines, l = 2 with orbits of one, two and four.  Each
+    # k-form embeds, and its sympy center and radical are its L-form's
+    rng = random.Random(26)
+    for l in (5, 2, 2, 5):
+        action, char, which = _order4_draw(l, rng)
+        alg_L = specialize(action, char, which=which)
+        alg_k, embedding = rational_form(action, char, alg_L)
+        assert max(len(vec) for vec in embedding) == 4
+        check_rational_form_embeds(action, char, alg_L, alg_k, embedding)
+        assert sympy_center_dim(alg_k) == alg_L.center_dim(), action.qmatrix.root_of_unity
+        assert sympy_radical_dim(alg_k) == alg_L.radical_dim() == 0, action.qmatrix.root_of_unity
 
 
 def test_character_consistency_checked(swap3):
