@@ -25,7 +25,7 @@ action = build_order2_action(Q, Z.galois, [{"swap": [0, 1]}])
 lat = central_lattice(Q)
 print("central lattice basis:", lat.basis, " index:", lat.index())
 
-for ib in center_generators(action):
+for ib in center_generators(action, lat):
     print("center generators over the orbit", ib.orbit.orbit)
     for elt in ib.elements:
         print("  ", elt)

@@ -164,7 +164,7 @@ def cmd_center(args):
     rep = Report(args.command, inputs={"problem": args.problem})
     lat = l_center_lattice(spec.qmatrix) if args.l_center else central_lattice(spec.qmatrix)
     rep.inputs["lattice"] = lattice_json(lat)
-    gens = center_generators(spec.action, l_center=args.l_center)
+    gens = center_generators(spec.action, lat)
     # center_generators raises VerificationFailed on any non-central
     # element, so every element it returns is certified central
     payload = [

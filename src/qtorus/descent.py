@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from . import _linalg
-from .errors import OrderUndeclared, SearchExhausted, VerificationFailed
+from .errors import SearchExhausted, VerificationFailed
 from .numfield import _ZERO
 from .torus import TwistedLaurentElement, term_key
 from .zlattice import Lattice, kernel_mod
@@ -245,26 +245,13 @@ def split_cocycle(galois, gammas, subgroup=None):
 # center
 
 
-def root_of_unity_data(Q):
-    """(l, epsilon, S) for Q, as its construction resolved them.
-
-    A matrix has this data exactly when the orders of its entries are
-    known, from its root-of-unity form or from declared orders.
-    """
-    if Q.root_of_unity is None:
-        raise OrderUndeclared(
-            "entry orders are unknown; declare them or give the root-of-unity form"
-        )
-    return Q.root_of_unity
-
-
 def central_lattice(Q):
     """The sublattice of exponents whose monomials are central.
 
     Computed as the mod-l kernel of the exponent matrix and re-verified
     against the actual matrix entries.
     """
-    l, _, S = root_of_unity_data(Q)
+    l, _, S = Q.root_of_unity_data()
     lat = kernel_mod([list(r) for r in S], l)
     for row in lat.basis:
         if not Q.is_central_exponent(row):
@@ -273,7 +260,7 @@ def central_lattice(Q):
 
 
 def l_center_lattice(Q):
-    l, _, _ = root_of_unity_data(Q)
+    l, _, _ = Q.root_of_unity_data()
     return Lattice.scaled_standard(Q.n, l)
 
 
@@ -289,21 +276,20 @@ def is_central(a):
     return True, None
 
 
-def center_generators(action, l_center=False):
+def center_generators(action, lattice):
     """Invariant bases spanning the Galois orbits of a central generating set.
 
-    The generating set is the canonical basis of the central lattice (or
-    of l * Z^n for the l-center).  The lattice is checked to be stable
-    under the module action, and every output element is checked central.
+    The generating set is the canonical basis of ``lattice``, which the
+    caller built: ``central_lattice`` for the center, ``l_center_lattice``
+    for the l-center.  The lattice is checked to be stable under the
+    module action, and every output element is checked central.
     """
-    Q = action.qmatrix
-    lat = l_center_lattice(Q) if l_center else central_lattice(Q)
     for idx in range(len(action.galois)):
-        for row in lat.basis:
-            if action.module.apply(idx, row) not in lat:
+        for row in lattice.basis:
+            if action.module.apply(idx, row) not in lattice:
                 raise ValueError("central lattice is not stable under the action")
     out = []
-    for row in lat.basis:
+    for row in lattice.basis:
         if any(row in ib.orbit.orbit for ib in out):
             continue
         ib = invariant_basis(action, row)

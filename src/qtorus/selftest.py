@@ -136,7 +136,7 @@ def criterion_center(seed=0):
     if got != expected:
         return False, {"stage": "bruteforce", "got": sorted(got)}
 
-    gens = center_generators(action)
+    gens = center_generators(action, lat)
     for ib in gens:
         for elt in ib.elements:
             ok, witness = is_central(elt)

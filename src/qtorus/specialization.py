@@ -24,9 +24,9 @@ from operator import mul
 from .descent import (
     _fixed_point_basis,
     central_lattice,
+    invariant_basis,
     is_central,
     l_center_lattice,
-    root_of_unity_data,
 )
 from .errors import InconsistentCharacter, PreconditionFailure, VerificationFailed
 from .galois_action import build_order2_action, build_trivial_action
@@ -442,11 +442,12 @@ def _quotient_algebra(Q, character):
     epsilon^e chi(lam) with e = g . v_h - r . v_lam mod l.  Each distinct sum
     g + h (a mixed-radix code, as digits never carry) is reduced once, and
     each distinct (e, lam) costs one field product.  (l, epsilon, S) comes
-    from ``root_of_unity_data``, so the entry orders must be known, and
-    ``Q.eps_pows`` holds the powers of epsilon.
+    from ``Q.root_of_unity_data()``, so the entry orders must be known, and
+    ``Q.eps_pows`` holds the powers of epsilon.  ``specialize`` is the one
+    library caller, after its checks on the character.
     """
     lat = character.lattice
-    l, _, S = root_of_unity_data(Q)
+    l, _, S = Q.root_of_unity_data()
     pows = Q.eps_pows
     n = Q.n
 
@@ -512,7 +513,8 @@ def rational_form(action, character, algebra=None):
     rational basis element, its L-coefficient vector inside the quotient.
     The embedded vectors are verified L-linearly independent, which is
     exactly the statement that extension of scalars recovers the quotient
-    over L.
+    over L.  Without ``algebra`` the quotient is ``specialize(action,
+    character)``, which refuses a character built for another matrix.
 
     The rational table is not checked triple by triple: the embedding
     phi is injective (the L-rank certificate), reproduces the unit and
@@ -539,7 +541,7 @@ def rational_form(action, character, algebra=None):
     """
     Q = action.qmatrix
     if algebra is None:
-        algebra = _quotient_algebra(Q, character)
+        algebra = specialize(action, character)
     if not isinstance(algebra, FiniteDimAlgebra):
         raise PreconditionFailure("rational form needs a monomial quotient table")
     for v in character.values:
@@ -692,10 +694,12 @@ def cyclic_decomposition(action, character):
     commuting, and to have central l-th powers realizing the block
     parameters.  The block order data only depends on k_i mod l: the
     effective modulus is gcd(k_i, l) and the block degree is
-    d_i = l / gcd(k_i, l).
+    d_i = l / gcd(k_i, l).  The character's lattice is checked to be
+    l * Z^n here, so the quotient is ``specialize(action, character)``
+    with no ``which`` cross-check.
     """
     Q = action.qmatrix
-    l, _, S = root_of_unity_data(Q)
+    l, _, S = Q.root_of_unity_data()
     if character.lattice != l_center_lattice(Q):
         raise ValueError("cyclic decomposition needs an l-center character")
     rep = Report("cyclic-decomposition")
@@ -724,7 +728,7 @@ def cyclic_decomposition(action, character):
                 ok, witness = False, {"pair": (a, b)}
     rep.add("cross-block-generators-commute", ok, witness)
 
-    algebra = specialize(action, character, which="l_center")
+    algebra = specialize(action, character)
     vecs = [embed_monomial(algebra, character, g) for g in gens]
 
     ok = True
@@ -835,8 +839,6 @@ def catalog_case(case, field, q):
 
     if case == 1:
         rep.add("commutation-relation", x1 * x2 == (x2 * x1) * q)
-        from .descent import invariant_basis
-
         ok = True
         for m in ((1, 0), (0, 1), (2, -1)):
             ib = invariant_basis(action, m)
@@ -940,9 +942,9 @@ def crossed_product_witness(case, field, q):
         rep.add("trivial-witness", True)
         rep.note("the fixed ring is already a twisted Laurent ring over Q; no witness needed")
         return rep
-    l = unit_order(q, 500)
+    l = unit_order(q, 2 * field.degree ** 2)  # no root of unity has a higher order
     if l is None:
-        raise PreconditionFailure("q is not a root of unity up to order 500")
+        raise PreconditionFailure("q is not a root of unity")
     if l % 2 == 0 or l == 1:
         raise PreconditionFailure("witness needs q of odd order at least 3")
     Q = _q_plane(field, q)

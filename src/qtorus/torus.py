@@ -33,9 +33,9 @@ from ``QMatrix.from_unit_powers``, else each q[i][j] itself.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
-from .errors import VerificationFailed
+from .errors import OrderUndeclared, VerificationFailed
 from .numfield import FieldElement, unit_order
 
 
@@ -45,11 +45,13 @@ class QMatrix:
     ``root_of_unity`` is a triple (l, epsilon, S) asserting that epsilon
     has exact order l and q[i][j] = epsilon^S[i][j] (``entries`` may then
     be None); it is checked on ``eps_pows``.  It is resolved once, at
-    construction: given declared orders alone, construction verifies them
-    (``unit_order`` on each q[i][j] with i < j, the rest as integers, since
-    q[i][i] == 1 and q[j][i] = q[i][j]^-1) and then calls
-    ``synthesize_root_of_unity``.  So a matrix has the data
-    exactly when the orders of its entries are known.
+    construction.  Declared orders are verified one way, with or without
+    that triple: ``unit_order`` on each q[i][j] with i < j, the rest as
+    integers, since q[i][i] == 1 and q[j][i] = q[i][j]^-1.  Given declared
+    orders alone, construction then calls ``synthesize_root_of_unity``.
+    So a matrix has the data exactly when the orders of its entries are
+    known, and ``root_of_unity_data()`` is the one place that reads it or
+    raises ``OrderUndeclared``.
 
     Every product of entries is held as an integer exponent vector indexed
     by ``pairs``, the strictly lower pairs (i, j) with i > j, and turned
@@ -103,10 +105,7 @@ class QMatrix:
             for i in range(n):
                 for j in range(n):
                     o = declared_orders[i][j]
-                    if pows is not None:
-                        # with epsilon of exact order l, epsilon^s has order l / gcd(s, l)
-                        exact = l // gcd(S[i][j], l)
-                    elif i >= j:
+                    if i >= j:
                         # q[i][i] == 1, and q[i][j] = q[j][i]^-1 has the order verified at (j, i)
                         exact = 1 if i == j else declared_orders[j][i]
                     else:
@@ -123,6 +122,12 @@ class QMatrix:
         else:
             l, _, S = root_of_unity
             self.units = ((tuple((t, S[i][j]) for t, (i, j) in enumerate(pairs) if S[i][j]), l, pows),)
+
+    def root_of_unity_data(self):
+        """(l, epsilon, S) as construction resolved them; ``OrderUndeclared`` if the orders are unknown."""
+        if self.root_of_unity is None:
+            raise OrderUndeclared("entry orders are unknown; declare them or give the root-of-unity form")
+        return self.root_of_unity
 
     @classmethod
     def from_root_of_unity(cls, field, l, epsilon, S):

@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 
 from qtorus import cli, torus
 from qtorus.cli import main
-from qtorus.problems import load_problem
+from qtorus.numfield import NumberField
+from qtorus.problems import GENERATOR_BOUND, load_problem, parse_qmatrix
 from qtorus.report import Report
 from workloads import corpus_ops, load_goldens, op_id
 
@@ -89,6 +90,11 @@ def _declared_twin():
     return doc
 
 
+def _side(n):
+    """An n x n zero exponent matrix."""
+    return [[0] * n for _ in range(n)]
+
+
 def _trivial(n, options=None):
     """n generators over Q(sqrt 5), every q_ij = 1, the trivial action."""
     doc = {"field": {"kind": "quadratic", "D": 5}, "q": {"entries": [["1"] * n] * n}, "action": {"kind": "trivial"}}
@@ -109,6 +115,12 @@ def _z13_commutative(character=True):
 _Z13_CHI = {"lattice": "l_center", "values": ["2", "3", "4", "5"]}
 
 
+# (JSON path of the q matrix, a document with one generator above the bound), per spelling of q
+TOO_MANY_GENERATORS = [
+    ("$.q.root_of_unity.s_matrix", _l3("q.root_of_unity.s_matrix", _side(GENERATOR_BOUND + 1))),
+    ("$.q.entries", _trivial(GENERATOR_BOUND + 1)),
+]
+
 # (argv before the file, document or raw text or bytes, JSON path the
 # error must name); every entry exits 2, none may crash or silently
 # truncate a float
@@ -122,6 +134,8 @@ MALFORMED = [
     (["specialize"], _z13_commutative(), "$.character.lattice"),
     (["validate"], {"field": {"kind": "quadratic", "D": 4}}, "$.field.D"),
     (["validate"], {"field": {"kind": "quadratic", "D": -(10**21) - 117}}, "$.field.D"),
+    # more generators than problems.GENERATOR_BOUND are refused before any entry is parsed
+    *((["validate"], doc, key) for key, doc in TOO_MANY_GENERATORS),
     (["validate"], _l3("n", "two"), "$.n"),
     (["validate"], _l3("field.l", 3.7), "$.field.l"),
     (["validate"], _l3("field.l", 1), "$.field.l"),
@@ -246,6 +260,21 @@ def test_out_of_range_flag_exits_2(argv, flag, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert f"argument {flag}: must be at least" in err or f"parse error: {flag}:" in err, err
+
+
+@pytest.mark.parametrize("key, doc", TOO_MANY_GENERATORS)
+def test_generators_are_bounded_in_both_spellings(key, doc, tmp_path, capsys):
+    # center took seconds at n = 50; one generator above the bound is refused at
+    # once, naming the size, the bound and the matrix's JSON path
+    problem = _write(tmp_path / "big.json", doc)
+    start = time.perf_counter()
+    assert main(["center", str(problem)]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert f"parse error: {key}: the matrix has {GENERATOR_BOUND + 1} generators, above the bound {GENERATOR_BOUND}" in err
+    # a matrix at the bound is read
+    at_bound = {"root_of_unity": {"l": 3, "s_matrix": _side(GENERATOR_BOUND)}}
+    assert parse_qmatrix(NumberField.cyclotomic(3), at_bound).n == GENERATOR_BOUND
 
 
 @pytest.mark.parametrize("command", ["validate", "invariants"])
@@ -586,6 +615,12 @@ def test_witness_q_zero_is_a_precondition_failure(capsys):
     assert "precondition failed: q must be a unit" in capsys.readouterr().err
 
 
+def test_witness_names_a_q_of_infinite_order(capsys):
+    # 9 + 4 sqrt(5) has infinite order; unit_order's search to 2 d^2 = 8 proves it
+    assert main(["witness", "--case", "2", "--D", "5", "--q", "9,4"]) == 1
+    assert capsys.readouterr().err == "precondition failed: q is not a root of unity\n"
+
+
 def test_catalog_large_squarefree_D_is_fast():
     # trial division stops at the cube root of the cofactor, not the square root
     start = time.perf_counter()
@@ -614,8 +649,9 @@ def test_invariants_cli(tmp_path):
 
 # -- fuzz: one leaf of a shipped problem document replaced -----------------
 
-# 10 and 10**6 reach the size bounds through $.n, l, D, the orders and the exponents
-FUZZ_POOL = [None, True, 0, -1, 2, 10, 10**6, 1.5, "", "x", "1/0", "0", "-3", [], {}, [0], [[]]]
+# 10 and 10**6 reach the size bounds through $.n, l, D, the orders and the exponents,
+# and a side above the generator bound reaches it through a q matrix
+FUZZ_POOL = [None, True, 0, -1, 2, 10, 10**6, 1.5, "", "x", "1/0", "0", "-3", [], {}, [0], [[]], _side(GENERATOR_BOUND + 1)]
 FUZZ_COMMANDS = [
     ["validate", "--degree-bound", "1", "--samples", "2"],
     ["center"],
@@ -645,8 +681,13 @@ def _problem_documents():
 
 
 FUZZ_DOCS = _problem_documents()
-# (document name, path of one leaf in it), over every leaf of every document
+# (document name, path of one leaf in it), over every leaf of every document, and
+# the path of each document's q matrix
 FUZZ_SITES = [(name, path) for name, doc in FUZZ_DOCS.items() for path in _leaf_paths(doc)]
+FUZZ_SITES += [
+    (name, ("q", "entries") if "entries" in doc["q"] else ("q", "root_of_unity", "s_matrix"))
+    for name, doc in FUZZ_DOCS.items()
+]
 
 
 @settings(max_examples=1500, derandomize=True, deadline=None)

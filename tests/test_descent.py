@@ -15,7 +15,6 @@ from qtorus.descent import (
     is_central,
     l_center_lattice,
     orbit,
-    root_of_unity_data,
     span_contains,
     split_cocycle,
 )
@@ -238,7 +237,7 @@ def test_central_lattice_requires_orders(sqrt5):
 def test_root_of_unity_synthesis(sqrt5):
     # entries +-1 only; epsilon = -1, l = 2 are synthesized at construction
     Q = QMatrix(sqrt5, [[1, -1], [-1, 1]], declared_orders=[[1, 2], [2, 1]])
-    assert root_of_unity_data(Q) is Q.root_of_unity
+    assert Q.root_of_unity_data() is Q.root_of_unity
     l, eps, S = Q.root_of_unity
     assert l == 2 and eps == -1
     assert S == ((0, 1), (-1, 0))
@@ -261,7 +260,7 @@ def test_center_generators_swap_zeta3(zeta3):
     z = zeta3.gen()
     Q = QMatrix.from_root_of_unity(zeta3, 3, z, [[0, 1], [-1, 0]])
     action = build_order2_action(Q, zeta3.galois, [{"swap": [0, 1]}])
-    gens = center_generators(action)
+    gens = center_generators(action, central_lattice(Q))
     assert len(gens) == 1
     ib = gens[0]
     assert set(ib.orbit.orbit) == {(3, 0), (0, 3)}
@@ -280,7 +279,7 @@ def test_center_generators_rational_line():
     Q_field = NumberField.rationals()
     Q = QMatrix(Q_field, [[1]], declared_orders=[[1]])
     action = build_trivial_action(Q, Q_field.galois)
-    gens = center_generators(action)
+    gens = center_generators(action, central_lattice(Q))
     assert len(gens) == 1
     assert gens[0].elements[0] == TwistedLaurentElement.generator(Q, 0)
 

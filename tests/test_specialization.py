@@ -5,6 +5,7 @@ import tracemalloc
 from fractions import Fraction
 from itertools import permutations, product
 from math import comb, gcd
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +19,7 @@ from qtorus.galois_action import (
     build_trivial_action,
 )
 from qtorus.numfield import FieldElement, NumberField
+from qtorus.problems import load_problem
 from qtorus.specialization import (
     CentralCharacter,
     FiniteDimAlgebra,
@@ -31,6 +33,8 @@ from qtorus.specialization import (
 )
 from qtorus.torus import QMatrix
 from qtorus.zlattice import mat_mul
+
+CASES = Path(__file__).resolve().parent.parent / "cases"
 
 
 def cyclic_algebra(field, l, a, b, omega):
@@ -97,6 +101,15 @@ def uncertified(field, labels, table, unit):
     alg.field, alg.labels, alg.unit = field, tuple(labels), {k: c for k, c in unit.items() if c}
     alg._classify(table)
     return alg
+
+
+def test_rational_form_refuses_a_character_of_another_matrix(zeta3, swap3):
+    # same field and lattice, but S = [[0, 2], [-2, 0]]: without an algebra
+    # rational_form builds the L-form through specialize, which checks the matrix
+    other = QMatrix.from_root_of_unity(zeta3, 3, zeta3.gen(), [[0, 2], [-2, 0]])
+    char = CentralCharacter.for_l_center(other, [2, 2])
+    with pytest.raises(ValueError, match="character was built for a different commutation matrix"):
+        rational_form(swap3, char)
 
 
 def test_specialize_standard_c3(swap3, zeta3):
@@ -1050,6 +1063,41 @@ def test_cyclic_decomposition_non_primitive_block():
     assert blk["omega"] == -1
     # the central index equals the product of squared block degrees
     assert central_lattice(Q).index() == 4
+
+
+def test_decompose_blocks_match_a_direct_cyclic_algebra():
+    # every block of cyclic_decomposition, on the shipped documents with a
+    # character, a non-primitive block and one seeded draw, against the
+    # cyclic_algebra oracle: X^i Y^j (0 <= i, j < l) lie on l^2 distinct labels
+    # of the L-form and multiply by cyclic_algebra(L, l, a, b, omega)'s
+    # structure constants, with a = X^l, b = Y^l and X Y = omega Y X as
+    # decompose reports them (l is the block's degree when k is prime to l)
+    cases = []
+    for name in ("l3_standard.json", "n3_decompose.json"):
+        spec = load_problem(str(CASES / name))
+        cases.append((spec.action, spec.character))
+    zeta4 = NumberField.cyclotomic(4)
+    Q = QMatrix.from_root_of_unity(zeta4, 4, zeta4.gen(), [[0, 2], [-2, 0]])
+    cases.append((build_order2_action(Q, zeta4.galois, [{"swap": [0, 1]}]), CentralCharacter.for_l_center(Q, [2, 3])))
+    rng = random.Random(28)
+    Q, blocks, values = _swap_sign_draw(*rng.choice([(4, 3), (6, 2)]), rng)
+    cases.append((build_order2_action(Q, Q.field.galois, blocks), CentralCharacter.for_l_center(Q, values)))
+    for action, char in cases:
+        rep, data = cyclic_decomposition(action, char)
+        assert rep.ok, rep.failures()
+        alg, l, field = data["algebra"], data["l"], action.qmatrix.field
+        for a, blk in enumerate(data["blocks"]):
+            X, Y = (embed_monomial(alg, char, g) for g in data["generators"][2 * a : 2 * a + 2])
+            direct = cyclic_algebra(field, l, blk["a"], blk["b"], blk["omega"])
+            elems = [alg.mul(alg.power(X, i), alg.power(Y, j)) for i, j in direct.labels]
+            assert all(len(e) == 1 for e in elems)
+            assert len({next(iter(e)) for e in elems}) == l * l
+            for (t1, t2), prod in table_of(direct).items():
+                want = {}
+                for t, c in prod.items():
+                    for k, x in elems[t].items():
+                        want[k] = want.get(k, field.zero()) + c * x
+                assert alg.mul(elems[t1], elems[t2]) == want, (action.qmatrix.root_of_unity, a, t1, t2)
 
 
 def test_catalog_case2():

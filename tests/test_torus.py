@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from qtorus.errors import OrderUndeclared
 from qtorus.galois_action import build_explicit_action
 from qtorus.numfield import FieldElement, NumberField, unit_order
 from qtorus.problems import load_json, load_problem
@@ -69,7 +70,7 @@ def test_invalid_qmatrix_rejected(zeta3):
         ([[1, z], [z2, 1]], {"declared_orders": [[1, 6], [3, 1]]}, r"declared order of q\[0\]\[1\] is wrong"),
         # q[1][0] = q[0][1]^-1 has the order just verified for q[0][1]
         ([[1, z], [z2, 1]], {"declared_orders": [[1, 3], [6, 1]]}, r"declared order of q\[1\]\[0\] is wrong"),
-        # beside root-of-unity data the order of q[i][j] is l / gcd(S[i][j], l)
+        # beside root-of-unity data, declared orders are verified as without it
         (
             [[1, z], [z2, 1]],
             {"declared_orders": [[1, 3], [1, 1]], "root_of_unity": (3, z, S)},
@@ -92,6 +93,14 @@ def test_invalid_qmatrix_rejected(zeta3):
     for field, unit, exponents, message in unit_rows:
         with pytest.raises(ValueError, match=message):
             QMatrix.from_unit_powers(field, unit, exponents)
+
+
+def test_root_of_unity_data_needs_known_orders(zeta3, Qz):
+    # entries alone carry no orders, so the matrix has no root-of-unity data
+    with pytest.raises(OrderUndeclared, match="entry orders are unknown"):
+        Qz.root_of_unity_data()
+    declared = QMatrix(zeta3, Qz.entries, declared_orders=[[1, 3], [3, 1]])
+    assert declared.root_of_unity_data() is declared.root_of_unity
 
 
 def test_bihom_basis(Qz, zeta3):
