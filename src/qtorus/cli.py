@@ -85,6 +85,14 @@ SAMPLES_BOUND = 10_000
 # 0.3-0.4 s for swap/sign l-center documents of dims 216-256 and 3.8 s at 729
 SPECIALIZATION_DIM_BOUND = 400
 
+# the largest side and entry bit length of a normal-form matrix: on random
+# antisymmetric matrices (Smith and alternating forms), side 40 with 16-bit
+# entries took about 2.5 s on a 2-core machine with Python 3.11, side 40 with
+# 21-bit entries 5.9 s, side 80 with 2-bit entries 4.0 s and side 20 with
+# 125-bit entries 11 s, so neither side * bits nor side^3 * bits orders the cost
+NORMAL_FORM_SIDE_BOUND = 40
+NORMAL_FORM_BIT_BOUND = 16
+
 
 def _option(spec, args, key):
     """An explicit flag, else the document's option, else the default."""
@@ -186,6 +194,14 @@ def cmd_normal_form(args):
     if not isinstance(doc, dict) or "matrix" not in doc:
         raise ProblemFormatError("expected an object with a 'matrix' key", "$")
     A = parse_int_matrix(doc["matrix"], "$.matrix")
+    side = max(len(A), len(A[0]))
+    bits = max(abs(x).bit_length() for row in A for x in row)
+    if side > NORMAL_FORM_SIDE_BOUND or bits > NORMAL_FORM_BIT_BOUND:
+        raise ProblemFormatError(
+            f"the matrix has side {side} and {bits}-bit entries, above the bound of side"
+            f" {NORMAL_FORM_SIDE_BOUND} and {NORMAL_FORM_BIT_BOUND}-bit entries",
+            "$.matrix",
+        )
     rep = Report("normal-form", inputs={"matrix": A})
     D, U, V = smith_normal_form(A)
     rep.inputs["smith"] = {

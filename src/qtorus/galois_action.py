@@ -298,82 +298,68 @@ def validate_action(action, degree_bound=3, samples=50, seed=0):
     """Re-verify every defining identity of the action and report.
 
     Basis checks are exhaustive; the sampled checks re-test the same
-    identities at random exponents and elements.  The first
-    counterexample is attached as a witness, never guessed.
+    identities at random exponents and elements.  Each check is one search
+    that returns its first counterexample as the witness, or None; the
+    checks run in the order of the table at the end, on one random stream.
     """
     rng = random.Random(seed)
-    rep = Report("validate-action")
     q = action.qmatrix
     n = action.n
     group = action.galois
+    sigmas = range(len(group))
 
-    found = action.compatibility_witness()
-    rep.add(
-        "pairing-compatibility-on-basis",
-        found is None,
-        None if found is None else {"sigma": found[0], "i": found[1], "j": found[2]},
-    )
+    def pairing_on_basis():
+        found = action.compatibility_witness()
+        return None if found is None else dict(zip(("sigma", "i", "j"), found))
 
-    witness = None
-    for _ in range(samples):
-        m, k = _rand_exp(rng, n, degree_bound), _rand_exp(rng, n, degree_bound)
-        for idx in range(len(group)):
-            sig = action.sigma(idx)
-            sm, sk = action.module.apply(idx, m), action.module.apply(idx, k)
-            if q.bihom(sm, sk) != sig(q.bihom(m, k)):
-                witness = {"sigma": idx, "m": list(m), "k": list(k)}
-                break
-        if witness:
-            break
-    rep.add("pairing-compatibility-sampled", witness is None, witness)
+    def pairing_sampled():
+        for _ in range(samples):
+            m, k = _rand_exp(rng, n, degree_bound), _rand_exp(rng, n, degree_bound)
+            for idx in sigmas:
+                sm, sk = action.module.apply(idx, m), action.module.apply(idx, k)
+                if q.bihom(sm, sk) != action.sigma(idx)(q.bihom(m, k)):
+                    return {"sigma": idx, "m": list(m), "k": list(k)}
+        return None
 
-    witness = None
-    for _ in range(samples):
-        m = _rand_exp(rng, n, degree_bound)
-        for i in range(len(group)):
-            sig = action.sigma(i)
-            for j in range(len(group)):
-                k = group.compose_idx(i, j)
-                tm = action.module.apply(j, m)
-                lhs = action.gamma(k, m)
-                rhs = action.gamma(i, tm) * sig(action.gamma(j, m))
+    def cocycle_sampled():
+        for _ in range(samples):
+            m = _rand_exp(rng, n, degree_bound)
+            for i, j in product(sigmas, repeat=2):
+                lhs = action.gamma(group.compose_idx(i, j), m)
+                rhs = action.gamma(i, action.module.apply(j, m)) * action.sigma(i)(action.gamma(j, m))
                 if lhs != rhs:
-                    witness = {"sigma": i, "tau": j, "m": list(m)}
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    rep.add("cocycle-composition-sampled", witness is None, witness)
+                    return {"sigma": i, "tau": j, "m": list(m)}
+        return None
 
-    witness = None
-    for m in product(range(-degree_bound, degree_bound + 1), repeat=n):
-        xm = TwistedLaurentElement.monomial(q, m)
-        images = [action.apply(j, xm) for j in range(len(group))]
-        for i in range(len(group)):
-            for j in range(len(group)):
+    def group_law():
+        for m in product(range(-degree_bound, degree_bound + 1), repeat=n):
+            xm = TwistedLaurentElement.monomial(q, m)
+            images = [action.apply(j, xm) for j in sigmas]
+            for i, j in product(sigmas, repeat=2):
                 if action.apply(i, images[j]) != images[group.compose_idx(i, j)]:
-                    witness = {"sigma": i, "tau": j, "m": list(m)}
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    rep.add("group-law-on-monomials", witness is None, witness)
+                    return {"sigma": i, "tau": j, "m": list(m)}
+        return None
 
-    witness = None
-    for _ in range(samples):
-        a, b = _rand_element(action, rng), _rand_element(action, rng)
-        prod, total = a * b, a + b
-        for idx in range(len(group)):
-            sa, sb = action.apply(idx, a), action.apply(idx, b)
-            if action.apply(idx, prod) != sa * sb:
-                witness = {"sigma": idx, "kind": "multiplicative"}
-                break
-            if action.apply(idx, total) != sa + sb:
-                witness = {"sigma": idx, "kind": "additive"}
-                break
-        if witness:
-            break
-    rep.add("ring-automorphism-sampled", witness is None, witness)
+    def ring_automorphism():
+        for _ in range(samples):
+            a, b = _rand_element(action, rng), _rand_element(action, rng)
+            prod, total = a * b, a + b
+            for idx in sigmas:
+                sa, sb = action.apply(idx, a), action.apply(idx, b)
+                if action.apply(idx, prod) != sa * sb:
+                    return {"sigma": idx, "kind": "multiplicative"}
+                if action.apply(idx, total) != sa + sb:
+                    return {"sigma": idx, "kind": "additive"}
+        return None
+
+    rep = Report("validate-action")
+    for name, search in (
+        ("pairing-compatibility-on-basis", pairing_on_basis),
+        ("pairing-compatibility-sampled", pairing_sampled),
+        ("cocycle-composition-sampled", cocycle_sampled),
+        ("group-law-on-monomials", group_law),
+        ("ring-automorphism-sampled", ring_automorphism),
+    ):
+        witness = search()
+        rep.add(name, witness is None, witness)
     return rep

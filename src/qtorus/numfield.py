@@ -131,9 +131,26 @@ def _cyclotomic_poly(l):
 # trial-divides up to the cube root of |D|, about 0.5 s at this bound
 QUADRATIC_D_BOUND = 10 ** 18
 
-# the largest l that ``NumberField.cyclotomic`` accepts: building Q(zeta_l)
-# takes about 0.2 s at this bound and grows roughly as l^3 (13 s at l = 400)
+# the largest l that ``NumberField.cyclotomic`` accepts, checked before phi(l)
+# is counted; the field's cost follows its degree phi(l), which
+# ``FIELD_DEGREE_BOUND`` bounds
 CYCLOTOMIC_L_BOUND = 100
+
+# the largest degree of a cyclotomic or custom field: validate --degree-bound 0
+# on one generator with the trivial action took 1.7 s at degree 24 (Q(zeta84)),
+# 3.3 s at 32 (Q(zeta96)), 4.5 s at 36 (Q(zeta37)) and 77 s at 96 (Q(zeta97))
+# on a 2-core machine with Python 3.11
+FIELD_DEGREE_BOUND = 32
+
+
+def check_field_size(degree, automorphisms=0):
+    """Refuse, before the field is built, a degree above ``FIELD_DEGREE_BOUND``
+    or more automorphisms than the degree (a longer list can only repeat one).
+    A degree below 1 is left to ``NumberField``'s own check."""
+    if degree > FIELD_DEGREE_BOUND:
+        raise ValueError(f"the field has degree {degree}, above the bound {FIELD_DEGREE_BOUND}")
+    if automorphisms > degree >= 1:
+        raise ValueError(f"{automorphisms} automorphisms for a field of degree {degree}, which has at most {degree}")
 
 
 def _is_squarefree(n):
@@ -245,18 +262,17 @@ class NumberField:
 
     @classmethod
     def cyclotomic(cls, l):
-        """The l-th cyclotomic field with the full automorphism group, 2 <= l <= 100."""
+        """The l-th cyclotomic field with the full automorphism group, 2 <= l <= 100
+        and phi(l) <= ``FIELD_DEGREE_BOUND``."""
         if l < 2:
             raise ValueError("l must be at least 2")
         if l > CYCLOTOMIC_L_BOUND:
             raise ValueError(f"l must be at most {CYCLOTOMIC_L_BOUND}")
+        units = [j for j in range(1, l + 1) if gcd(j, l) == 1]
+        check_field_size(len(units))
         field = cls(_cyclotomic_poly(l), "cyclotomic", l)
-        auts = []
         zeta = field.gen()
-        for j in range(1, l + 1):
-            if gcd(j, l) == 1:
-                auts.append(FieldAutomorphism(field, zeta ** j))
-        field.galois = GaloisGroup(field, auts)
+        field.galois = GaloisGroup(field, [FieldAutomorphism(field, zeta ** j) for j in units])
         return field
 
     @classmethod
@@ -264,8 +280,11 @@ class NumberField:
         """Field from a monic polynomial plus the images of t under Gal(L/Q).
 
         ``automorphisms`` is an iterable of coefficient vectors g with
-        f(g) = 0; the identity (g = t) may be included or not.
+        f(g) = 0; the identity (g = t) may be included or not.  The sizes
+        are checked by ``check_field_size`` first.
         """
+        automorphisms = list(automorphisms)
+        check_field_size(len(min_poly) - 1, len(automorphisms))
         field = cls(min_poly, "custom")
         auts = [FieldAutomorphism(field, field.gen())]
         seen = {auts[0].t_image}

@@ -21,7 +21,7 @@ from .galois_action import (
     build_permutation_action,
     build_trivial_action,
 )
-from .numfield import NumberField
+from .numfield import NumberField, check_field_size
 from .specialization import CentralCharacter
 from .torus import QMatrix, term_key
 
@@ -80,11 +80,10 @@ def parse_field(doc, path="$.field"):
         if kind == "rational":
             return NumberField.rationals()
         if kind == "custom":
-            min_poly = [
-                parse_rational(c, f"{path}.min_poly[{i}]")
-                for i, c in enumerate(doc["min_poly"])
-            ]
-            autos = doc.get("automorphisms", [])
+            poly = parse_array(doc["min_poly"], f"{path}.min_poly")
+            autos = parse_array(doc.get("automorphisms", []), f"{path}.automorphisms")
+            check_field_size(len(poly) - 1, len(autos))
+            min_poly = [parse_rational(c, f"{path}.min_poly[{i}]") for i, c in enumerate(poly)]
             parsed = []
             for i, g in enumerate(autos):
                 parsed.append(

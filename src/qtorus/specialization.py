@@ -17,7 +17,7 @@ defining relations, and the order-2 crossed-product witnesses.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import gcd, lcm
 from operator import mul
 
@@ -710,37 +710,29 @@ def cyclic_decomposition(action, character):
     one = Q.field.one()
     omegas = [Q.eps_pows[k % l] for k in ks]  # epsilon^k_a, block a's commutation scalar
 
-    ok = True
-    witness = None
-    for a in range(p):
-        if Q.bihom(gens[2 * a], gens[2 * a + 1]) != omegas[a]:
-            ok, witness = False, {"block": a}
-    rep.add("block-pairing-matches-normal-form", ok, witness)
+    def record(name, witnesses):
+        # a check is one search: its first witness, or a pass when there is none
+        witness = next(witnesses, None)
+        rep.add(name, witness is None, witness)
 
-    ok = True
-    witness = None
-    for a in range(n):
-        for b in range(a + 1, n):
-            expected = one
-            if a % 2 == 0 and b == a + 1 and a // 2 < p:
-                continue
-            if Q.bihom(gens[a], gens[b]) != expected:
-                ok, witness = False, {"pair": (a, b)}
-    rep.add("cross-block-generators-commute", ok, witness)
+    record("block-pairing-matches-normal-form", (
+        {"block": a} for a in range(p) if Q.bihom(gens[2 * a], gens[2 * a + 1]) != omegas[a]
+    ))
+    # every pair of generators but a block's own commutes
+    record("cross-block-generators-commute", (
+        {"pair": (a, b)}
+        for a, b in combinations(range(n), 2)
+        if not (a % 2 == 0 and b == a + 1 and a // 2 < p) and Q.bihom(gens[a], gens[b]) != one
+    ))
 
     algebra = specialize(action, character)
     vecs = [embed_monomial(algebra, character, g) for g in gens]
-
-    ok = True
-    witness = None
-    for a in range(p):
-        X, Y = vecs[2 * a], vecs[2 * a + 1]
-        lhs = algebra.mul(X, Y)
-        rhs = algebra.mul(Y, X)
-        scaled = {k: omegas[a] * c for k, c in rhs.items()}
-        if lhs != scaled:
-            ok, witness = False, {"block": a}
-    rep.add("block-relation-in-quotient", ok, witness)
+    # X_a Y_a == omega_a Y_a X_a for each block's pair (X_a, Y_a)
+    record("block-relation-in-quotient", (
+        {"block": a}
+        for a, X, Y in zip(range(p), vecs[0::2], vecs[1::2])
+        if algebra.mul(X, Y) != {k: omegas[a] * c for k, c in algebra.mul(Y, X).items()}
+    ))
 
     blocks = []
     for a in range(p):
@@ -839,13 +831,10 @@ def catalog_case(case, field, q):
 
     if case == 1:
         rep.add("commutation-relation", x1 * x2 == (x2 * x1) * q)
-        ok = True
-        for m in ((1, 0), (0, 1), (2, -1)):
-            ib = invariant_basis(action, m)
-            mono = TwistedLaurentElement.monomial(Q, m)
-            if list(ib.elements) != [mono]:
-                ok = False
-        rep.add("fixed-ring-is-monomial", ok)
+        rep.add("fixed-ring-is-monomial", all(
+            list(invariant_basis(action, m).elements) == [TwistedLaurentElement.monomial(Q, m)]
+            for m in ((1, 0), (0, 1), (2, -1))
+        ))
         return rep
 
     if case == 2:
@@ -957,13 +946,12 @@ def crossed_product_witness(case, field, q):
         rep.note("swap-case witness is y = x1^(-1) * x2")
     x = TwistedLaurentElement.generator(Q, 0)
 
-    sig_y = action.apply(1, y)
-    prod = sig_y * y
-    unit = None
-    if prod.is_monomial():
-        exp, c = prod.as_monomial()
-        if not any(exp):
-            unit = c
+    def unit_of(z):
+        """(c, sigma(z) * z) with sigma(z) * z == c * x^0, c None when it is no such unit."""
+        prod = action.apply(1, z) * z
+        return (prod.terms.get((0,) * Q.n) if prod.is_monomial() else None), prod
+
+    unit, prod = unit_of(y)
     rep.add("sigma-inverts-y-up-to-unit", unit is not None,
             None if unit is not None else {"sigma_y_times_y": repr(prod)})
     if unit is not None:
@@ -977,13 +965,7 @@ def crossed_product_witness(case, field, q):
     ok, witness = is_central(yl)
     rep.add("y-power-l-central", ok, None if ok else {"generator": witness["generator"]})
 
-    sig_yl = action.apply(1, yl)
-    prod_l = sig_yl * yl
-    unit_l = None
-    if prod_l.is_monomial():
-        exp, c = prod_l.as_monomial()
-        if not any(exp):
-            unit_l = c
+    unit_l, _ = unit_of(yl)
     rep.add("sigma-inverts-y-power-up-to-unit", unit_l is not None)
     if unit_l is not None:
         rep.inputs["unit_l"] = [str(c) for c in unit_l.coeffs]

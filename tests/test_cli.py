@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -16,8 +17,8 @@ from hypothesis import strategies as st
 
 from qtorus import cli, torus
 from qtorus.cli import main
-from qtorus.numfield import NumberField
-from qtorus.problems import GENERATOR_BOUND, load_problem, parse_qmatrix
+from qtorus.numfield import FIELD_DEGREE_BOUND, NumberField
+from qtorus.problems import GENERATOR_BOUND, element_json, load_problem, parse_problem, parse_qmatrix
 from qtorus.report import Report
 from workloads import corpus_ops, load_goldens, op_id
 
@@ -115,6 +116,43 @@ def _z13_commutative(character=True):
 _Z13_CHI = {"lattice": "l_center", "values": ["2", "3", "4", "5"]}
 
 
+def _custom(min_poly, automorphisms=()):
+    """A one-generator document over the custom field Q[t]/(min_poly)."""
+    return {
+        "field": {"kind": "custom", "min_poly": min_poly, "automorphisms": list(automorphisms)},
+        "q": {"entries": [["1"]]},
+        "action": {"kind": "trivial"},
+    }
+
+
+# (argv, a document above a field or matrix bound, the JSON path and the message
+# of its refusal); a custom field's coefficients here are not rationals, so a
+# refusal that came after they were parsed would name a coefficient's path
+OVERSIZED = [
+    (["validate"], _l3("field.l", 97), "$.field.l", f"the field has degree 96, above the bound {FIELD_DEGREE_BOUND}"),
+    (
+        ["validate"],
+        _custom(["x"] * (FIELD_DEGREE_BOUND + 2)),
+        "$.field",
+        f"the field has degree {FIELD_DEGREE_BOUND + 1}, above the bound {FIELD_DEGREE_BOUND}",
+    ),
+    (["validate"], _custom(["-2", "0", "1"], [["x"]] * 3), "$.field", "3 automorphisms for a field of degree 2"),
+    (
+        ["normal-form"],
+        {"matrix": _side(cli.NORMAL_FORM_SIDE_BOUND + 1)},
+        "$.matrix",
+        f"the matrix has side {cli.NORMAL_FORM_SIDE_BOUND + 1} and 0-bit entries, above the bound of side"
+        f" {cli.NORMAL_FORM_SIDE_BOUND} and {cli.NORMAL_FORM_BIT_BOUND}-bit entries",
+    ),
+    (
+        ["normal-form"],
+        {"matrix": [[0, 2 ** 16], [-(2 ** 16), 0]]},
+        "$.matrix",
+        "the matrix has side 2 and 17-bit entries, above the bound of side",
+    ),
+]
+
+
 # (JSON path of the q matrix, a document with one generator above the bound), per spelling of q
 TOO_MANY_GENERATORS = [
     ("$.q.root_of_unity.s_matrix", _l3("q.root_of_unity.s_matrix", _side(GENERATOR_BOUND + 1))),
@@ -204,6 +242,30 @@ MALFORMED = [
     # a JSON boolean is not a rational, though Python reads true as 1
     (["specialize"], _l3("character", {"values": [True, "2"]}), "$.character.values[0]"),
     (["validate"], _case2_entries([[True, ["9", "4"]], [["9", "-4"], ["1"]]]), "$.q.entries[0][0]"),
+    # above numfield.FIELD_DEGREE_BOUND or the normal-form bounds, refused before any work
+    *((argv, doc, path) for argv, doc, path, _ in OVERSIZED),
+    # one row per parse-error site that no other test reaches
+    (["validate"], [], "$"),
+    (["validate"], _l3("options", 5), "$.options"),
+    (["validate"], _l3("q", 5), "$.q"),
+    (["validate"], _l3("q", {}), "$.q"),
+    (["validate"], _l3("q", {"root_of_unity": {"s_matrix": [[0, 1], [-1, 0]]}}), "$.q"),
+    (["validate"], _l3("q", {"root_of_unity": [3]}), "$.q"),
+    (["validate"], _l3("field", {"kind": "quadratic", "D": -3}), "$.q.root_of_unity"),
+    (["validate"], _l3("q.root_of_unity.epsilon", ["0", "1", "0"]), "$.q.root_of_unity.epsilon"),
+    (["validate"], _l3("field", 5), "$.field"),
+    (["validate"], _l3("field", {"kind": "cyclotomic"}), "$.field"),
+    (["validate"], _custom(["-2", "0", "2"]), "$.field"),
+    (["validate"], _l3("action", 5), "$.action"),
+    (["validate"], _l3("action", {"kind": "order2"}), "$.action"),
+    (["validate"], _l3("action", {"kind": "permutation", "perms": [[0, 1], [1, 0]]}), "$.action.perms"),
+    (["validate"], _l3("action", {"kind": "order2", "blocks": [5]}), "$.action.blocks[0]"),
+    (["specialize"], _l3("character", 5), "$.character"),
+    (["specialize"], _l3("character", {"lattice": "l_center"}), "$.character.values"),
+    # q over Q(sqrt 5) has infinite order, so no character lattice is defined
+    (["specialize"], {**json.loads(Path(case("case2_sqrt5.json")).read_text()), "character": {"values": ["2", "3"]}}, "$.character"),
+    (["decompose"], _l3("character", {"lattice": "full_center", "values": ["2", "3"]}), "$.character"),
+    (["normal-form"], [], "$"),
 ]
 
 
@@ -275,6 +337,43 @@ def test_generators_are_bounded_in_both_spellings(key, doc, tmp_path, capsys):
     # a matrix at the bound is read
     at_bound = {"root_of_unity": {"l": 3, "s_matrix": _side(GENERATOR_BOUND)}}
     assert parse_qmatrix(NumberField.cyclotomic(3), at_bound).n == GENERATOR_BOUND
+
+
+@pytest.mark.parametrize(
+    "argv, doc, path, message",
+    OVERSIZED,
+    ids=["zeta97", "custom_degree", "custom_automorphisms", "matrix_side", "matrix_bits"],
+)
+def test_fields_and_matrices_above_their_bounds_are_refused(argv, doc, path, message, tmp_path, capsys):
+    # building Q(zeta97) took about 2 s and validating over it 77 s; a 60 x 60
+    # normal form ran past 30 s.  The refusal names the size, the bound and the path
+    problem = _write(tmp_path / "big.json", doc)
+    start = time.perf_counter()
+    assert main(argv + [str(problem)]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert f"parse error: {path}: {message}" in capsys.readouterr().err
+
+
+def test_normal_form_at_its_bounds_runs(tmp_path):
+    top = 2 ** cli.NORMAL_FORM_BIT_BOUND - 1
+    for matrix in (_side(cli.NORMAL_FORM_SIDE_BOUND), [[0, top], [-top, 0]]):
+        assert main(["normal-form", str(_write(tmp_path / "m.json", {"matrix": matrix}))]) == 0
+
+
+# one accepted document per field kind
+FIELD_KINDS = {
+    "quadratic": json.loads(Path(case("case2_sqrt5.json")).read_text()),
+    "cyclotomic": _l3(),
+    "rational": {"field": {"kind": "rational"}, "q": {"entries": [["1", "2"], ["1/2", "1"]]}, "action": {"kind": "trivial"}},
+    "custom": {**_custom(["-2", "0", "1"], [["0", "-1"]]), "q": {"entries": [["1", "3"], ["1/3", "1"]]}},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FIELD_KINDS))
+def test_each_field_kind_is_accepted(kind, tmp_path):
+    problem = str(_write(tmp_path / "problem.json", FIELD_KINDS[kind]))
+    assert load_problem(problem).field.kind == kind
+    assert main(["validate", problem]) == 0
 
 
 @pytest.mark.parametrize("command", ["validate", "invariants"])
@@ -428,6 +527,39 @@ def test_declared_order_twin_reports_match_shipped_case(command, tmp_path):
         report = json.loads(out_path.read_text())
         del report["inputs"]["problem"]
         reports.append(report)
+    assert reports[0] == reports[1]
+
+
+def _entries_twin(doc):
+    """``doc`` with q = epsilon^S spelled as entries + declared_orders: q_ij has order l / gcd(S_ij, l)."""
+    l, S = doc["q"]["root_of_unity"]["l"], doc["q"]["root_of_unity"]["s_matrix"]
+    entries = parse_problem(doc).qmatrix.entries
+    q = {
+        "entries": [[element_json(x) for x in row] for row in entries],
+        "declared_orders": [[l // gcd(s, l) for s in row] for row in S],
+    }
+    return {**doc, "q": q}
+
+
+ROOT_OF_UNITY_CASES = sorted(
+    name for name in os.listdir(CASES) if "root_of_unity" in json.loads(Path(case(name)).read_text()).get("q", {})
+)
+
+
+@pytest.mark.parametrize("name", ROOT_OF_UNITY_CASES)
+def test_both_spellings_give_byte_identical_reports(name, tmp_path, monkeypatch):
+    # each shipped root-of-unity document and its entries + declared_orders twin,
+    # run from two folders under the same file name, so the reports' bytes compare
+    with open(case(name)) as fh:
+        doc = json.load(fh)
+    commands = ("center", "lcenter", "validate", "invariants")
+    reports = []
+    for spelling in (doc, _entries_twin(doc)):
+        folder = tmp_path / str(len(reports))
+        folder.mkdir()
+        _write(folder / name, spelling)
+        monkeypatch.chdir(folder)
+        reports.append([(main([c, name, "--json", f"{c}.json"]), Path(f"{c}.json").read_bytes()) for c in commands])
     assert reports[0] == reports[1]
 
 
@@ -650,8 +782,12 @@ def test_invariants_cli(tmp_path):
 # -- fuzz: one leaf of a shipped problem document replaced -----------------
 
 # 10 and 10**6 reach the size bounds through $.n, l, D, the orders and the exponents,
-# and a side above the generator bound reaches it through a q matrix
-FUZZ_POOL = [None, True, 0, -1, 2, 10, 10**6, 1.5, "", "x", "1/0", "0", "-3", [], {}, [0], [[]], _side(GENERATOR_BOUND + 1)]
+# a side above the generator bound reaches it through a q matrix, and a 60 x 60
+# matrix of 41-bit entries reaches both normal-form bounds
+FUZZ_POOL = [
+    None, True, 0, -1, 2, 10, 10**6, 1.5, "", "x", "1/0", "0", "-3", [], {}, [0], [[]],
+    _side(GENERATOR_BOUND + 1), [[2**40] * 60] * 60,
+]
 FUZZ_COMMANDS = [
     ["validate", "--degree-bound", "1", "--samples", "2"],
     ["center"],
@@ -715,6 +851,28 @@ def test_fuzzed_document_exits_cleanly(site, value, command):
     assert code in (0, 1, 2)
     if code == 2:
         assert re.match(r"parse error: (\$|--)", err.getvalue()), err.getvalue()
+
+
+def test_fuzzed_matrix_exits_cleanly(tmp_path):
+    # normal-form reads no problem document, so the document fuzz never reaches it:
+    # every pool value replaces the shipped matrix and each of its entries in turn
+    with open(case("matrix_example.json")) as fh:
+        doc = json.load(fh)
+    sites = [("matrix",)] + [("matrix", i, j) for i, row in enumerate(doc["matrix"]) for j in range(len(row))]
+    bad = []
+    for path in sites:
+        for value in FUZZ_POOL:
+            fuzzed = json.loads(json.dumps(doc))
+            target = fuzzed
+            for key in path[:-1]:
+                target = target[key]
+            target[path[-1]] = value
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(["normal-form", str(_write(tmp_path / "m.json", fuzzed))])
+            if code not in (0, 1, 2) or code == 2 and not err.getvalue().startswith("parse error: $"):
+                bad.append((path, value, code))
+    assert not bad, bad[:5]
 
 
 # -- sweep: the flag-only subcommands over every combination ---------------

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -7,6 +8,7 @@ import pytest
 from qtorus.errors import FieldAssumptionViolated
 from qtorus.numfield import (
     CYCLOTOMIC_L_BOUND,
+    FIELD_DEGREE_BOUND,
     NumberField,
     _is_squarefree,
     find_normal_basis,
@@ -359,6 +361,35 @@ def test_cyclotomic_index_is_bounded():
     for bad in (-3, 0, 1, CYCLOTOMIC_L_BOUND + 1, 400):
         with pytest.raises(ValueError):
             NumberField.cyclotomic(bad)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        # Q(zeta97) has degree 96 and took about 2 s to build
+        (lambda: NumberField.cyclotomic(97), f"degree 96, above the bound {FIELD_DEGREE_BOUND}"),
+        (lambda: NumberField.cyclotomic(100), f"degree 40, above the bound {FIELD_DEGREE_BOUND}"),
+        (
+            lambda: NumberField.custom([1] + [0] * FIELD_DEGREE_BOUND + [1], []),
+            f"degree {FIELD_DEGREE_BOUND + 1}, above the bound",
+        ),
+        (lambda: NumberField.custom([-2, 0, 1], [[0, -1]] * 3), "3 automorphisms for a field of degree 2"),
+    ],
+    ids=["zeta97", "zeta100", "custom_degree", "custom_automorphisms"],
+)
+def test_field_degree_is_bounded(make, message, monkeypatch):
+    # refused before any field is built or automorphism made: with no
+    # NumberField.__init__, building one would raise TypeError
+    monkeypatch.setattr(NumberField, "__init__", None)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=message):
+        make()
+    assert time.perf_counter() - start < 1.0
+
+
+def test_field_at_the_degree_bound_is_built():
+    assert NumberField.cyclotomic(96).degree == FIELD_DEGREE_BOUND
+    assert len(NumberField.custom([-2, 0, 1], [[0, 1], [0, -1]]).galois) == 2
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_FIELDS))

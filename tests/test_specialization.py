@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from qtorus import _linalg
+from qtorus import _linalg, specialization
 from qtorus.descent import central_lattice
 from qtorus.errors import InconsistentCharacter, PreconditionFailure
 from qtorus.galois_action import (
@@ -1063,6 +1063,29 @@ def test_cyclic_decomposition_non_primitive_block():
     assert blk["omega"] == -1
     # the central index equals the product of squared block degrees
     assert central_lattice(Q).index() == 4
+
+
+def test_decomposition_reports_the_first_failing_block(zeta3, monkeypatch):
+    # with each block's k doubled, both blocks fail their pairing and their
+    # relation in the quotient; each check names the first failing block
+    S = [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]]
+    Q = QMatrix.from_root_of_unity(zeta3, 3, zeta3.gen(), S)
+    action = build_order2_action(Q, zeta3.galois, [{"swap": [0, 1]}, {"swap": [2, 3]}])
+    char = CentralCharacter.for_l_center(Q, [2, 3, 5, 7])
+    rep, data = cyclic_decomposition(action, char)
+    assert rep.ok and data["ks"] == [1, 1]
+    normal_form = specialization.alternating_normal_form
+
+    def doubled_ks(A):
+        U, ks, zeros = normal_form(A)
+        return U, [2 * k for k in ks], zeros
+
+    monkeypatch.setattr(specialization, "alternating_normal_form", doubled_ks)
+    rep, _ = cyclic_decomposition(action, char)
+    assert {c.name: c.witness for c in rep.failures()} == {
+        "block-pairing-matches-normal-form": {"block": 0},
+        "block-relation-in-quotient": {"block": 0},
+    }
 
 
 def test_decompose_blocks_match_a_direct_cyclic_algebra():
