@@ -248,7 +248,7 @@ def cmd_specialize(args):
     spec = load_problem(args.problem)
     char, which = _character_from_args(spec, args)
     rep = Report("specialize", inputs={"problem": args.problem, "which": which})
-    algebra = specialize(spec.action, char, which=which)
+    algebra = specialize(spec.action, char)
     rep.inputs["dimension"] = algebra.dim
     rep.add("quotient-constructed", True)
     # construction checked every triple, and raises on a failing one

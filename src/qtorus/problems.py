@@ -29,12 +29,20 @@ _RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
 _INT_RE = re.compile(r"^-?\d+$")
 
 
+def _convert(convert, text, path):
+    """``convert(text)``; past Python's limit on the digits of an integer string, a parse error at ``path``."""
+    try:
+        return convert(text)
+    except ValueError as err:
+        raise ProblemFormatError(str(err), path) from err
+
+
 def parse_int(value, path):
     """A JSON integer (not a bool) or a decimal-integer string; floats never truncate."""
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     if isinstance(value, str) and _INT_RE.match(value):
-        return int(value)
+        return _convert(int, value, path)
     raise ProblemFormatError(f"expected an integer, got {value!r}", path)
 
 
@@ -43,7 +51,7 @@ def parse_rational(value, path):
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str) and _RATIONAL_RE.match(value):
-        return Fraction(value)
+        return _convert(Fraction, value, path)
     raise ProblemFormatError(f"expected an integer or 'p/q' string, got {value!r}", path)
 
 
@@ -341,7 +349,7 @@ def load_json(pathname):
             return json.load(fh)
     except OSError as err:
         raise ProblemFormatError(f"cannot read {pathname}: {err.strerror}", "$") from err
-    except (json.JSONDecodeError, UnicodeDecodeError) as err:
+    except ValueError as err:  # undecodable, or an integer literal past Python's digit limit
         raise ProblemFormatError(f"invalid JSON: {err}", "$") from err
     except RecursionError as err:
         raise ProblemFormatError("invalid JSON: nested too deeply", "$") from err

@@ -278,7 +278,7 @@ def criterion_specializations(seed):
         lchar = CentralCharacter.for_l_center(
             Q, _equivariant_values(action, l_center_lattice(Q), sign_coords, rng)
         )
-        alg_l = specialize(action, lchar, which="l_center")
+        alg_l = specialize(action, lchar)
         if alg_l.dim != l ** n:
             return False, {"config": (l, n), "stage": "l-center-dim", "dim": alg_l.dim}
         if alg_l.radical_dim() != 0:
@@ -291,7 +291,7 @@ def criterion_specializations(seed):
         fchar = CentralCharacter(
             Q, full_lat, _equivariant_values(action, full_lat, sign_coords, rng)
         )
-        alg_f = specialize(action, fchar, which="full_center")
+        alg_f = specialize(action, fchar)
         if alg_f.dim != full_lat.index():
             return False, {"config": (l, n), "stage": "full-center-dim"}
         if alg_f.center_dim() != 1:

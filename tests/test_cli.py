@@ -159,6 +159,32 @@ TOO_MANY_GENERATORS = [
     ("$.q.entries", _trivial(GENERATOR_BOUND + 1)),
 ]
 
+# one digit past Python's limit on converting decimal text to an int; as a
+# JSON literal it cannot be written by json.dumps, so a document holds
+# HUGE_LITERAL and _write puts the digits in its place
+HUGE = "9" * 4301
+HUGE_LITERAL = "<a 4301-digit integer literal>"
+
+# (argv before the file, document, JSON path) for each site that reads a
+# decimal integer: the decoder, parse_int and parse_rational
+OVERSIZED_INTEGERS = [
+    (["validate"], _l3("n", HUGE_LITERAL), "$"),
+    (["validate"], _l3("n", HUGE), "$.n"),
+    (["validate"], _l3("options", {"samples": HUGE}), "$.options.samples"),
+    (["specialize"], _l3("character", {"values": [HUGE, "2"]}), "$.character.values[0]"),
+    (
+        ["validate"],
+        _l3("action", {"kind": "permutation", "perms": {HUGE: [0, 1], "1": [1, 0]}}),
+        f"$.action.perms.{HUGE}",
+    ),
+    (
+        ["validate"],
+        _l3("action", {"kind": "permutation", "perms": {"0": [0, 1], "1": [HUGE, 0]}}),
+        "$.action.perms.1[0]",
+    ),
+    (["validate"], _case2_entries([[["1"], [HUGE, "4"]], [["9", "-4"], ["1"]]]), "$.q.entries[0][1][0]"),
+]
+
 # (argv before the file, document or raw text or bytes, JSON path the
 # error must name); every entry exits 2, none may crash or silently
 # truncate a float
@@ -266,12 +292,14 @@ MALFORMED = [
     (["specialize"], {**json.loads(Path(case("case2_sqrt5.json")).read_text()), "character": {"values": ["2", "3"]}}, "$.character"),
     (["decompose"], _l3("character", {"lattice": "full_center", "values": ["2", "3"]}), "$.character"),
     (["normal-form"], [], "$"),
+    # past Python's digit limit an integer is a parse error, not a ValueError from int()
+    *OVERSIZED_INTEGERS,
 ]
 
 
 def _write(path, doc):
     if not isinstance(doc, (str, bytes)):
-        doc = json.dumps(doc)
+        doc = json.dumps(doc).replace(json.dumps(HUGE_LITERAL), HUGE)
     path.write_bytes(doc if isinstance(doc, bytes) else doc.encode())
     return path
 
@@ -308,6 +336,9 @@ BAD_FLAGS = [
     (["invariants", "--degree-bound", "100", case("case2_sqrt5.json")], "--degree-bound"),
     # 200,000 samples ran for over a minute; above cli.SAMPLES_BOUND they are refused
     (["validate", "--samples", "200000", case("case2_sqrt5.json")], "--samples"),
+    # a coefficient past Python's digit limit
+    (["witness", "--case", "2", "--l", "3", "--q", HUGE], "--q"),
+    (["catalog", "--case", "2", "--D", "5", "--q", f"1,{HUGE}"], "--q"),
 ]
 
 
@@ -322,6 +353,18 @@ def test_out_of_range_flag_exits_2(argv, flag, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert f"argument {flag}: must be at least" in err or f"parse error: {flag}:" in err, err
+
+
+def test_oversized_integers_exit_2_in_under_a_second(tmp_path, capsys):
+    # each is refused when it is read, before any work on the document
+    runs = [argv + [str(_write(tmp_path / f"bad{i}.json", doc))] for i, (argv, doc, _) in enumerate(OVERSIZED_INTEGERS)]
+    runs += [argv for argv, _ in BAD_FLAGS if HUGE in ",".join(argv)]
+    assert len(runs) == 9
+    for argv in runs:
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr().err.startswith("parse error: ")
 
 
 @pytest.mark.parametrize("key, doc", TOO_MANY_GENERATORS)
@@ -782,11 +825,12 @@ def test_invariants_cli(tmp_path):
 # -- fuzz: one leaf of a shipped problem document replaced -----------------
 
 # 10 and 10**6 reach the size bounds through $.n, l, D, the orders and the exponents,
-# a side above the generator bound reaches it through a q matrix, and a 60 x 60
-# matrix of 41-bit entries reaches both normal-form bounds
+# a side above the generator bound reaches it through a q matrix, a 60 x 60
+# matrix of 41-bit entries reaches both normal-form bounds, and HUGE_LITERAL
+# (written by _write as a 4,301-digit literal) reaches the decoder's digit limit
 FUZZ_POOL = [
     None, True, 0, -1, 2, 10, 10**6, 1.5, "", "x", "1/0", "0", "-3", [], {}, [0], [[]],
-    _side(GENERATOR_BOUND + 1), [[2**40] * 60] * 60,
+    _side(GENERATOR_BOUND + 1), [[2**40] * 60] * 60, HUGE_LITERAL,
 ]
 FUZZ_COMMANDS = [
     ["validate", "--degree-bound", "1", "--samples", "2"],

@@ -181,6 +181,49 @@ def test_declared_orders_are_read_only_by_qmatrix():
     assert not uses, uses
 
 
+def scope_node(tree, path):
+    """The def or class at a dotted path such as ``SemilinearAction.composes``."""
+    node = tree
+    for name in path.split("."):
+        node = next(
+            child
+            for child in ast.walk(node)
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and child.name == name
+        )
+    return node
+
+
+def test_composition_law_is_one_predicate_on_images():
+    # SemilinearAction.composes is the one statement of the composition law on
+    # coefficients: construction and both of validate's composition checks read
+    # it, and neither builds an element or applies the action to one
+    tree = dict(library_modules())["galois_action.py"]
+    readers = {"SemilinearAction._check_composition", "validate_action.composition"}
+    uses = set()
+    for name, module in library_modules():
+        uses.update((name, where, ctx) for where, ctx in attribute_uses(module, "composes"))
+    assert uses == {("galois_action.py", where, "Load") for where in readers}
+    for where in readers:
+        node = scope_node(tree, where)
+        names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+        assert "TwistedLaurentElement" not in names, where
+        assert not attribute_uses(node, "apply"), where
+
+
+def test_no_library_call_passes_a_lattice_to_cross_check():
+    # every library character was built on its lattice by its own constructor,
+    # so no caller asks specialize to recompute that lattice through ``which``
+    found = []
+    for name, tree in library_modules():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            callee = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+            if callee == "specialize" and (len(node.args) > 2 or any(kw.arg in ("which", None) for kw in node.keywords)):
+                found.append(f"{name}:{node.lineno}")
+    assert not found, found
+
+
 def import_time_calls(tree):
     """The callee of every call a module makes when it is imported: module and
     class bodies, decorators and default values, but no function or lambda body

@@ -357,6 +357,37 @@ def test_is_central_witness(zeta3):
     assert ok
 
 
+def two_sided_is_central(a):
+    """The centrality check before it dropped the inverses: x_i, then x_i^-1, for each i."""
+    for i in range(a.q.n):
+        for power in (1, -1):
+            comm = a.commutator(TwistedLaurentElement.generator(a.q, i, power))
+            if comm:
+                return False, {"generator": i, "power": power, "commutator": comm}
+    return True, None
+
+
+@pytest.mark.parametrize("name", ACTION_CASES)
+def test_is_central_matches_the_two_sided_check(name):
+    # seeded sums of up to three monomials, each central or not, on every
+    # shipped matrix: the check on x_i alone gives the two-sided answer and witness
+    Q = load_problem(CASES / name).qmatrix
+    field = Q.field
+    rng = random.Random(17)
+    central = central_elements_up_to(Q, 2)
+    verdicts = set()
+    for _ in range(40):
+        a = TwistedLaurentElement.zero(Q)
+        for _ in range(rng.randint(1, 3)):
+            m = rng.choice(central) if rng.random() < 0.6 else tuple(rng.randint(-2, 2) for _ in range(Q.n))
+            c = field.element([rng.randint(-3, 3) for _ in range(field.degree)])
+            a = a + TwistedLaurentElement.monomial(Q, m, c)
+        got = is_central(a)
+        assert got == two_sided_is_central(a), (name, a)
+        verdicts.add(got[0])
+    assert verdicts == ({True} if len(central) == 5**Q.n else {True, False}), name
+
+
 # ---------------------------------------------------------------------------
 # the trace basis against the stacked (sigma - 1) system, solved by sympy
 

@@ -345,3 +345,65 @@ def test_validate_computes_each_image_and_product_once(monkeypatch):
     assert validate_action(action).ok
     assert counts["power_product"] <= 1200
     assert counts["mul"] <= 150
+
+
+def broken_rotation5(rotation5):
+    """The cocycle rows of rotation5 with gamma_sigma1(e3) = zeta, sigma1: zeta -> zeta^4."""
+    field = rotation5.qmatrix.field
+    assert [aut.t_image for aut in rotation5.galois.elements] == [field.gen() ** k for k in (1, 4, 3, 2)]
+    rows = [[field.one()] * 3 for _ in rotation5.galois.elements]
+    rows[1][2] = field.gen()
+    return rows
+
+
+def test_composition_witnesses_at_order_4(rotation5):
+    # since sigma1(zeta) zeta = 1, the pair (sigma1, sigma1) still composes, but
+    # six pairs fail on x3, the first in scan order being (sigma1, sigma2)
+    field, group, Q = rotation5.qmatrix.field, rotation5.galois, rotation5.qmatrix
+    rows = broken_rotation5(rotation5)
+    with pytest.raises(CompatibilityFailure) as err:
+        build_explicit_action(Q, group, rotation5.module.mats, rows)
+    assert err.value.witness == (1, 2, 2)
+    action = UncheckedAction(group, rotation5.module, GammaCocycle(field, group, rows), Q)
+    x3 = TwistedLaurentElement.generator(Q, 2)
+    failing = {
+        (i, j)
+        for i in range(4)
+        for j in range(4)
+        if action.apply(i, action.apply(j, x3)) != action.apply(group.compose_idx(i, j), x3)
+    }
+    assert failing == {(1, 2), (1, 3), (2, 1), (2, 2), (3, 1), (3, 3)}
+    checks = {c.name: c.to_dict() for c in validate_action(action).checks}
+    assert checks["cocycle-composition-sampled"]["witness"] == {"sigma": 1, "tau": 2, "m": [-2, -2, 3]}
+    assert checks["group-law-on-monomials"]["witness"] == {"sigma": 1, "tau": 2, "m": [-3, -3, -3]}
+    assert [name for name, c in checks.items() if c["status"] == "fail"] == [
+        "cocycle-composition-sampled",
+        "group-law-on-monomials",
+    ]
+
+
+@pytest.mark.parametrize("name", ACTION_CASES + ["rotation5", "broken rotation5"])
+def test_composes_matches_composing_elements(name, request):
+    # the composition predicate against its definition: sigma(tau(x^m)) and
+    # (sigma tau)(x^m) built as elements, for every pair (sigma, tau)
+    if name.endswith("rotation5"):
+        action = request.getfixturevalue("rotation5")
+        if name.startswith("broken"):
+            field, group = action.qmatrix.field, action.galois
+            cocycle = GammaCocycle(field, group, broken_rotation5(action))
+            action = UncheckedAction(group, action.module, cocycle, action.qmatrix)
+    else:
+        action = load_problem(CASES / name).action
+    rng = random.Random(31)
+    pairs = range(len(action.galois))
+    seen = set()
+    for _ in range(15):
+        m = tuple(rng.randint(-4, 4) for _ in range(action.n))
+        xm = TwistedLaurentElement.monomial(action.qmatrix, m)
+        for i in pairs:
+            for j in pairs:
+                k = action.galois.compose_idx(i, j)
+                want = action.apply(i, action.apply(j, xm)) == action.apply(k, xm)
+                assert action.composes(i, j, m) is want, (m, i, j)
+                seen.add(want)
+    assert seen == ({True, False} if name.startswith("broken") else {True})

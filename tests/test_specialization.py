@@ -11,7 +11,7 @@ import pytest
 
 from qtorus import _linalg, specialization
 from qtorus.descent import central_lattice
-from qtorus.errors import InconsistentCharacter, PreconditionFailure
+from qtorus.errors import InconsistentCharacter, PreconditionFailure, QTorusError
 from qtorus.galois_action import (
     build_explicit_action,
     build_order2_action,
@@ -19,7 +19,7 @@ from qtorus.galois_action import (
     build_trivial_action,
 )
 from qtorus.numfield import FieldElement, NumberField
-from qtorus.problems import load_problem
+from qtorus.problems import load_problem, parse_problem
 from qtorus.specialization import (
     CentralCharacter,
     FiniteDimAlgebra,
@@ -1013,6 +1013,71 @@ def test_k_form_on_random_order4_draws():
         check_rational_form_embeds(action, char, alg_L, alg_k, embedding)
         assert sympy_center_dim(alg_k) == alg_L.center_dim(), action.qmatrix.root_of_unity
         assert sympy_radical_dim(alg_k) == alg_L.radical_dim() == 0, action.qmatrix.root_of_unity
+
+
+def _unconstrained_draw(rng):
+    """A seeded document over Q(zeta_l) whose parts need not fit together.
+
+    S is any antisymmetric matrix, the order-2 blocks any swap and sign
+    cover and the character any rational values on either lattice, so
+    the action may be incompatible with q, the character may not be
+    equivariant, and Q(zeta_5) has no order-2 Galois group.
+    """
+    l, n = rng.choice([(3, 2), (3, 3), (4, 2), (4, 3), (6, 2), (5, 2)])
+    S = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(a + 1, n):
+            S[a][b] = rng.randrange(-l, l + 1)
+            S[b][a] = -S[a][b]
+    if rng.random() < 0.5:
+        i, j = rng.sample(range(n), 2)
+        blocks = [{"swap": [i, j]}] + [{"sign": rng.choice((1, -1))} for _ in range(n - 2)]
+    else:
+        blocks = [{"sign": rng.choice((1, -1))} for _ in range(n)]
+    return {
+        "field": {"kind": "cyclotomic", "l": l},
+        "q": {"root_of_unity": {"l": l, "s_matrix": S}},
+        "action": {"kind": "order2", "blocks": blocks},
+        "character": {
+            "lattice": rng.choice(("l_center", "full_center")),
+            "values": [rng.choice(("1", "-1", "2", "-3", "1/2", "5/7", "0")) for _ in range(n)],
+        },
+    }
+
+
+def test_draws_that_fail_to_build_raise_typed_errors(tmp_path):
+    # seeded L-form and k-form draws with nothing forcing them to build: each
+    # builds, or raises a QTorusError through the library (parse_problem, then
+    # specialize, then rational_form), and main exits 0 exactly when the form
+    # built, else 1 or 2 with a one-line message and no traceback
+    from contextlib import redirect_stderr, redirect_stdout
+    from io import StringIO
+
+    from qtorus.cli import main
+
+    rng = random.Random(14)
+    problem = tmp_path / "problem.json"
+    outcomes = []
+    for _ in range(60):
+        doc = _unconstrained_draw(rng)
+        built = []
+        try:
+            spec = parse_problem(doc)
+            algebra = specialize(spec.action, spec.character)
+            built.append("L")
+            rational_form(spec.action, spec.character, algebra)
+            built.append("k")
+        except QTorusError:
+            pass
+        problem.write_text(json.dumps(doc))
+        for form in ("L", "k"):
+            err = StringIO()
+            with redirect_stdout(StringIO()), redirect_stderr(err):
+                code = main(["specialize", "--form", form, str(problem)])
+            assert code == 0 if form in built else code in (1, 2), (form, doc, code)
+            assert "Traceback" not in err.getvalue() and err.getvalue().count("\n") == (code != 0), doc
+        outcomes.append(len(built))
+    assert set(outcomes) == {0, 1, 2}, outcomes
 
 
 def test_character_consistency_checked(swap3):
