@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import reprlib
 import sys
 import time
 
@@ -120,7 +121,7 @@ def _samples(spec, args):
     samples = _option(spec, args, "samples")
     if samples > SAMPLES_BOUND:
         path = "--samples" if args.samples is not None else "$.options.samples"
-        raise ProblemFormatError(f"{samples} samples is above the bound {SAMPLES_BOUND}", path)
+        raise ProblemFormatError(f"{reprlib.repr(samples)} samples is above the bound {SAMPLES_BOUND}", path)
     return samples
 
 

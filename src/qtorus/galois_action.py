@@ -31,6 +31,7 @@ computed afresh, so a large sweep costs time, not unbounded memory.
 from __future__ import annotations
 
 import random
+import reprlib
 from itertools import product
 
 from .errors import CompatibilityFailure
@@ -221,7 +222,7 @@ def build_permutation_action(qmatrix, galois, perms):
     for idx in range(len(galois)):
         p = tuple(perms[idx])
         if sorted(p) != list(range(n)):
-            raise ValueError(f"not a permutation of 0..{n - 1}: {p}")
+            raise ValueError(f"not a permutation of 0..{n - 1}: {reprlib.repr(p)}")
         M = [[0] * n for _ in range(n)]
         for i in range(n):
             M[p[i]][i] = 1
@@ -264,11 +265,11 @@ def build_order2_action(qmatrix, galois, blocks):
         elif "swap" in blk:
             i, j = blk["swap"]
             if i == j or not (0 <= i < n and 0 <= j < n) or taken[i] or taken[j]:
-                raise ValueError(f"invalid swap pair {blk['swap']}")
+                raise ValueError(f"invalid swap pair {reprlib.repr(blk['swap'])}")
             M[i][j] = M[j][i] = 1
             taken[i] = taken[j] = True
         else:
-            raise ValueError(f"unknown block {blk}")
+            raise ValueError(f"unknown block {reprlib.repr(blk)}")
     if not all(taken):
         raise ValueError("blocks do not cover all coordinates")
     module = TorusModule(galois, [identity_matrix(n), M])

@@ -4,13 +4,15 @@ Documents are JSON, UTF-8, with every rational written as a string
 "p" or "p/q" so nothing ever round-trips through floating point.  Field
 elements are arrays of rational strings (coefficients of powers of t).
 Parse failures raise ProblemFormatError carrying a JSON path into the
-document.
+document; an input value or object key a message echoes is shortened by
+``reprlib``, so a long one cannot flood the message.
 """
 
 from __future__ import annotations
 
 import json
 import re
+import reprlib
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
@@ -37,13 +39,18 @@ def _convert(convert, text, path):
         raise ProblemFormatError(str(err), path) from err
 
 
+def _key_path(path, key):
+    """The path of an object's ``key`` below ``path``, the key shortened as ``reprlib`` shortens a string."""
+    return f"{path}.{reprlib.repr(key)[1:-1]}"
+
+
 def parse_int(value, path):
     """A JSON integer (not a bool) or a decimal-integer string; floats never truncate."""
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     if isinstance(value, str) and _INT_RE.match(value):
         return _convert(int, value, path)
-    raise ProblemFormatError(f"expected an integer, got {value!r}", path)
+    raise ProblemFormatError(f"expected an integer, got {reprlib.repr(value)}", path)
 
 
 def parse_rational(value, path):
@@ -52,7 +59,7 @@ def parse_rational(value, path):
         return Fraction(value)
     if isinstance(value, str) and _RATIONAL_RE.match(value):
         return _convert(Fraction, value, path)
-    raise ProblemFormatError(f"expected an integer or 'p/q' string, got {value!r}", path)
+    raise ProblemFormatError(f"expected an integer or 'p/q' string, got {reprlib.repr(value)}", path)
 
 
 def parse_element(fld, value, path):
@@ -104,7 +111,7 @@ def parse_field(doc, path="$.field"):
         raise ProblemFormatError(f"missing key {err}", path) from err
     except (ValueError, TypeError) as err:
         raise ProblemFormatError(str(err), path) from err
-    raise ProblemFormatError(f"unknown field kind {kind!r}", path)
+    raise ProblemFormatError(f"unknown field kind {reprlib.repr(kind)}", path)
 
 
 def parse_array(doc, path):
@@ -176,7 +183,7 @@ def parse_qmatrix(fld, doc, path="$.q"):
                     "epsilon required unless the field is cyclotomic",
                     f"{path}.root_of_unity",
                 )
-            args = ("root_of_unity", l, eps, S)
+            build, args = QMatrix.from_root_of_unity, (l, eps, S)
         elif "entries" in doc:
             _bound_generators(doc["entries"], f"{path}.entries")
             rows = parse_array(doc["entries"], f"{path}.entries")
@@ -199,7 +206,7 @@ def parse_qmatrix(fld, doc, path="$.q"):
                             raise ProblemFormatError(
                                 "must be at least 1", f"{path}.declared_orders[{i}][{j}]"
                             )
-            args = ("entries", entries, orders)
+            build, args = QMatrix, (entries, orders)
         else:
             raise ProblemFormatError("q needs 'entries' or 'root_of_unity'", path)
     except ProblemFormatError:
@@ -209,9 +216,7 @@ def parse_qmatrix(fld, doc, path="$.q"):
     except (ValueError, TypeError) as err:
         raise ProblemFormatError(str(err), path) from err
     try:
-        if args[0] == "root_of_unity":
-            return QMatrix.from_root_of_unity(fld, args[1], args[2], args[3])
-        return QMatrix(fld, args[1], declared_orders=args[2])
+        return build(fld, *args)
     except ValueError as err:
         raise CompatibilityFailure(
             f"commutation matrix check failed: {err}", witness={"path": path}
@@ -228,10 +233,8 @@ def parse_action(qmatrix, galois, doc, path="$.action"):
             perms = doc["perms"]
             if not isinstance(perms, dict):
                 raise ProblemFormatError("expected an object", f"{path}.perms")
-            perms = {
-                parse_int(k, f"{path}.perms.{k}"): parse_int_list(v, f"{path}.perms.{k}")
-                for k, v in perms.items()
-            }
+            paths = {k: _key_path(f"{path}.perms", k) for k in perms}
+            perms = {parse_int(k, paths[k]): parse_int_list(v, paths[k]) for k, v in perms.items()}
             build, args = build_permutation_action, (perms,)
         elif kind == "trivial":
             build, args = build_trivial_action, ()
@@ -262,7 +265,7 @@ def parse_action(qmatrix, galois, doc, path="$.action"):
                     raise ProblemFormatError(f"expected {n} values", f"{path}.cocycle[{i}]")
             build, args = build_explicit_action, (matrices, cocycle)
         else:
-            raise ProblemFormatError(f"unknown action kind {kind!r}", path)
+            raise ProblemFormatError(f"unknown action kind {reprlib.repr(kind)}", path)
     except KeyError as err:
         raise ProblemFormatError(f"missing key {err}", path) from err
     try:
@@ -333,12 +336,13 @@ def parse_problem(doc):
         raise ProblemFormatError("options must be an object", "$.options")
     options = dict(options)
     for key in options:
+        path = _key_path("$.options", key)
         low = {"degree_bound": 0, "samples": 1}.get(key)
         if low is None:
-            raise ProblemFormatError("not an option (degree_bound, samples)", f"$.options.{key}")
-        options[key] = parse_int(options[key], f"$.options.{key}")
+            raise ProblemFormatError("not an option (degree_bound, samples)", path)
+        options[key] = parse_int(options[key], path)
         if options[key] < low:
-            raise ProblemFormatError(f"must be at least {low}", f"$.options.{key}")
+            raise ProblemFormatError(f"must be at least {low}", path)
     return ProblemSpec(fld, qmatrix, action, character, which, options)
 
 

@@ -126,7 +126,7 @@ def criterion_center(seed=0):
     if lat.basis != ((3, 0), (0, 3)):
         return False, {"stage": "lattice", "basis": lat.basis}
     # brute force enumeration of residues mod 3 against S
-    S = Q.root_of_unity[2]
+    _, _, S = Q.root_of_unity_data()
     expected = set()
     for m in product(range(3), repeat=2):
         image = [sum(a * x for a, x in zip(row, m)) % 3 for row in S]

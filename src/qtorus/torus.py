@@ -40,18 +40,18 @@ from .numfield import FieldElement, unit_order
 
 
 class QMatrix:
-    """Commutation matrix with optional declared orders or root-of-unity data.
+    """Commutation matrix from its entries, with optional declared orders, or from one unit's powers.
 
-    ``root_of_unity`` is a triple (l, epsilon, S) asserting that epsilon
-    has exact order l and q[i][j] = epsilon^S[i][j] (``entries`` may then
-    be None); it is checked on ``eps_pows``.  It is resolved once, at
-    construction.  Declared orders are verified one way, with or without
-    that triple: ``unit_order`` on each q[i][j] with i < j, the rest as
-    integers, since q[i][i] == 1 and q[j][i] = q[i][j]^-1.  Given declared
-    orders alone, construction then calls ``synthesize_root_of_unity``.
-    So a matrix has the data exactly when the orders of its entries are
-    known, and ``root_of_unity_data()`` is the one place that reads it or
-    raises ``OrderUndeclared``.
+    ``from_root_of_unity`` (q[i][j] = epsilon^S[i][j], epsilon of exact
+    order l, checked on ``eps_pows``) and ``from_unit_powers`` (u^S[i][j]
+    for any unit u) read their entries from the unit's powers in one
+    builder, ``_from_exponents``.  Declared orders are verified one way:
+    ``unit_order`` on each q[i][j] with i < j, the rest as integers, since
+    q[i][i] == 1 and q[j][i] = q[i][j]^-1; construction then calls
+    ``synthesize_root_of_unity``.  So a matrix has root-of-unity data
+    (l, epsilon, S) exactly when the orders of its entries are known, and
+    ``root_of_unity_data()`` is the one place that reads it or raises
+    ``OrderUndeclared``.
 
     Every product of entries is held as an integer exponent vector indexed
     by ``pairs``, the strictly lower pairs (i, j) with i > j, and turned
@@ -60,21 +60,14 @@ class QMatrix:
     ``units`` presents the matrix, whatever its spelling, by generating
     units u, each a triple (column, order, store): the nonzero (t, a) with
     u^a a factor of q at ``pairs[t]``, the order l (0 unless known finite)
-    and the powers of u.  Root-of-unity data is one unit epsilon, stored in
-    ``eps_pows`` (epsilon^0 .. epsilon^(l-1)); other stores are caches
-    seeded with u^0, the field's shared one, and u^1 = u.
+    and the powers of u.  ``_present`` is the one writer of a presentation
+    by one unit; otherwise each entry is its own unit.  Stores other than
+    ``eps_pows`` are caches seeded with u^0, the field's shared one, and u^1 = u.
     """
 
     __slots__ = ("field", "n", "entries", "root_of_unity", "pairs", "eps_pows", "units")
 
-    def __init__(self, field, entries, declared_orders=None, root_of_unity=None):
-        pows = None
-        if root_of_unity is not None:
-            l, eps, S = root_of_unity
-            eps = field.element(eps)
-            pows = epsilon_powers(eps, l)
-            if entries is None:
-                entries = [[pows[s % l] for s in row] for row in S]
+    def __init__(self, field, entries, declared_orders=None):
         n = len(entries)
         rows = []
         for i in range(n):
@@ -91,15 +84,9 @@ class QMatrix:
             for j in range(n):
                 if self.entries[i][j] * self.entries[j][i] != one:
                     raise ValueError(f"q[{i}][{j}] * q[{j}][{i}] != 1")
-        if pows is not None:
-            for i in range(n):
-                for j in range(n):
-                    if S[i][j] != -S[j][i]:
-                        raise ValueError("exponent matrix must be antisymmetric")
-                    if self.entries[i][j] != pows[S[i][j] % l]:
-                        raise ValueError(f"q[{i}][{j}] != epsilon^S[{i}][{j}]")
-            S = tuple(tuple(int(x) for x in row) for row in S)
-            root_of_unity = (l, eps, S)
+        self.pairs = pairs = tuple((i, j) for i in range(1, n) for j in range(i))
+        self.root_of_unity = self.eps_pows = None
+        self.units = tuple((((t, 1),), 0, {0: one, 1: self.entries[i][j]}) for t, (i, j) in enumerate(pairs))
         if declared_orders is not None:
             declared_orders = [[int(o) for o in row] for row in declared_orders]
             for i in range(n):
@@ -112,16 +99,27 @@ class QMatrix:
                         exact = unit_order(self.entries[i][j], o)
                     if exact != o:
                         raise ValueError(f"declared order of q[{i}][{j}] is wrong")
-            if pows is None:
-                root_of_unity, pows = synthesize_root_of_unity(self.entries, declared_orders)
-        self.root_of_unity = root_of_unity
-        self.pairs = pairs = tuple((i, j) for i in range(1, n) for j in range(i))
-        self.eps_pows = pows
-        if pows is None:  # each q[i][j] is its own unit
-            self.units = tuple((((t, 1),), 0, {0: one, 1: self.entries[i][j]}) for t, (i, j) in enumerate(pairs))
-        else:
-            l, _, S = root_of_unity
-            self.units = ((tuple((t, S[i][j]) for t, (i, j) in enumerate(pairs) if S[i][j]), l, pows),)
+            (l, eps, S), pows = synthesize_root_of_unity(self.entries, declared_orders)
+            self._present(S, l, pows, eps)
+
+    def _present(self, S, order, store, eps):
+        """Present q[i][j] = u^S[i][j] for one unit u of order ``order`` (0: infinite) with powers ``store``.
+
+        Given ``eps`` = u, this is root-of-unity data and ``store`` is ``eps_pows``.
+        """
+        self.root_of_unity = None if eps is None else (order, eps, S)
+        self.eps_pows = None if eps is None else store
+        self.units = ((tuple((t, S[i][j]) for t, (i, j) in enumerate(self.pairs) if S[i][j]), order, store),)
+
+    @classmethod
+    def _from_exponents(cls, field, S, order, store, eps=None):
+        """q[i][j] = u^S[i][j] as ``_present`` takes it; the entries are checked before S's antisymmetry."""
+        S = tuple(tuple(int(s) for s in row) for row in S)
+        Q = cls(field, [[store[s % order] if order else store[s] for s in row] for row in S])
+        if any(S[i][j] != -S[j][i] for i in range(Q.n) for j in range(Q.n)):
+            raise ValueError("exponent matrix must be antisymmetric")
+        Q._present(S, order, store, eps)
+        return Q
 
     def root_of_unity_data(self):
         """(l, epsilon, S) as construction resolved them; ``OrderUndeclared`` if the orders are unknown."""
@@ -131,7 +129,8 @@ class QMatrix:
 
     @classmethod
     def from_root_of_unity(cls, field, l, epsilon, S):
-        return cls(field, None, root_of_unity=(l, epsilon, S))
+        eps = field.element(epsilon)
+        return cls._from_exponents(field, S, l, epsilon_powers(eps, l), eps)
 
     @classmethod
     def from_unit_powers(cls, field, u, S):
@@ -147,9 +146,7 @@ class QMatrix:
         store = {0: field.one(), 1: u}
         for s in set().union(*S) - store.keys():
             store[s] = u ** s
-        Q = cls(field, [[store[s] for s in row] for row in S])
-        Q.units = ((tuple((t, S[i][j]) for t, (i, j) in enumerate(Q.pairs) if S[i][j]), 0, store),)
-        return Q
+        return cls._from_exponents(field, S, 0, store)
 
     def evaluate(self, exps):
         """prod_t q[i][j]^exps[t] over the strictly lower pairs (i, j) = self.pairs[t].
@@ -169,10 +166,6 @@ class QMatrix:
                 out = p if out is one else out * p
         return out
 
-    def cocycle_exponents(self, m, k):
-        """The exponent vector (m_i k_j) of c(m, k), indexed like ``pairs``."""
-        return [m[i] * k[j] for i, j in self.pairs]
-
     def bihom(self, m, k):
         """Q(m, k): the pairing that controls commutation of x^m and x^k.
 
@@ -190,7 +183,7 @@ class QMatrix:
 
     def cocycle(self, m, k):
         """c(m, k): the normal-ordering constant with x^m x^k = c(m,k) x^(m+k)."""
-        return self.evaluate(self.cocycle_exponents(m, k))
+        return self.evaluate([m[i] * k[j] for i, j in self.pairs])
 
     def power_product(self, factors):
         """(exponent, coefficient) of the ordered product of (g x^v)^e over (g, v, e).

@@ -175,7 +175,7 @@ OVERSIZED_INTEGERS = [
     (
         ["validate"],
         _l3("action", {"kind": "permutation", "perms": {HUGE: [0, 1], "1": [1, 0]}}),
-        f"$.action.perms.{HUGE}",
+        "$.action.perms." + "9" * 12 + "..." + "9" * 13,
     ),
     (
         ["validate"],
@@ -295,6 +295,37 @@ MALFORMED = [
     # past Python's digit limit an integer is a parse error, not a ValueError from int()
     *OVERSIZED_INTEGERS,
 ]
+
+
+# (argv before the file, a document with a 100,000-character value or key, the
+# JSON path its error names) for each site that echoes input in a parse error
+LONG = "x" * 100_000
+SHORT_KEY = "x" * 12 + "..." + "x" * 13
+LONG_INPUTS = [
+    (["validate"], _l3("field.kind", LONG), "$.field"),
+    (["validate"], _l3("action.kind", LONG), "$.action"),
+    (["validate"], _l3("n", LONG), "$.n"),
+    (["specialize"], _l3("character", {"values": [LONG, "2"]}), "$.character.values[0]"),
+    (["validate"], _l3("options", {LONG: 1}), f"$.options.{SHORT_KEY}"),
+    (["validate"], _l3("action", {"kind": "order2", "blocks": [{LONG: 1}, {"sign": 1}]}), "$.action"),
+    # the key is both the path and the value the message echoes
+    (["validate"], _l3("action", {"kind": "permutation", "perms": {LONG: [0, 1]}}), f"$.action.perms.{SHORT_KEY}"),
+    (["validate"], _l3("action", {"kind": "permutation", "perms": {"0": [0, 1], "1": list(range(10**5))}}), "$.action"),
+    # integers of up to 4,300 digits parse, and these two messages echo one
+    (["validate"], _l3("action", {"kind": "order2", "blocks": [{"swap": [int("9" * 4300), 0]}]}), "$.action"),
+    (["validate"], _l3("options", {"samples": int("9" * 4300)}), "$.options.samples"),
+]
+
+
+@pytest.mark.parametrize("argv, doc, path", LONG_INPUTS)
+def test_parse_error_shortens_long_input(argv, doc, path, tmp_path, capsys):
+    bad = _write(tmp_path / "long.json", doc)
+    start = time.perf_counter()
+    assert main(argv + [str(bad)]) == 2
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and len(err) <= 300, err[:300]
+    assert err.startswith(f"parse error: {path}: "), err
 
 
 def _write(path, doc):

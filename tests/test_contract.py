@@ -181,6 +181,33 @@ def test_declared_orders_are_read_only_by_qmatrix():
     assert not uses, uses
 
 
+def test_one_unit_presentation_has_one_writer():
+    # QMatrix.__init__ presents plain entries, each its own unit; _present is
+    # the one writer of a presentation by one unit, for every spelling that has one
+    for attr in ("units", "eps_pows", "root_of_unity"):
+        stores = set()
+        for name, tree in library_modules():
+            stores.update((name, where) for where, ctx in attribute_uses(tree, attr) if ctx == "Store")
+        assert stores == {("torus.py", "QMatrix.__init__"), ("torus.py", "QMatrix._present")}, attr
+
+
+def test_root_of_unity_data_is_read_through_its_accessor():
+    # root_of_unity_data() is the one reader of the slot, and the one place
+    # that raises OrderUndeclared when the entry orders are unknown
+    loads = set()
+    for name, tree in library_modules():
+        loads.update((name, where) for where, ctx in attribute_uses(tree, "root_of_unity") if ctx == "Load")
+    assert loads == {("torus.py", "QMatrix.root_of_unity_data")}
+
+
+def test_parse_errors_echo_input_through_reprlib():
+    # a value a parse error echoes is shortened by reprlib.repr, never spelled
+    # out in full by a !r conversion, so a long input cannot flood the message
+    tree = dict(library_modules())["problems.py"]
+    found = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.FormattedValue) and node.conversion == ord("r")]
+    assert not found, found
+
+
 def scope_node(tree, path):
     """The def or class at a dotted path such as ``SemilinearAction.composes``."""
     node = tree

@@ -1091,6 +1091,50 @@ def test_character_consistency_checked(swap3):
         CentralCharacter(Q, Lattice.from_rows([[1, 0], [0, 3]], 2), [2, 3])
 
 
+def _seeded_characters():
+    """Every shipped character; seeded l-center and full-center characters in
+    the selftest c07 shapes and the ladder shapes; and one character on a
+    central lattice given directly."""
+    import workloads
+    from qtorus.descent import l_center_lattice
+    from qtorus.selftest import _equivariant_values, _prop2_setup
+    from qtorus.zlattice import Lattice
+
+    shipped = [path for path in sorted(CASES.glob("*.json")) if "character" in json.loads(path.read_text())]
+    out = [load_problem(path).character for path in shipped]
+    for seed in range(4):
+        rng = random.Random(seed)
+        for l, n in ((2, 2), (3, 2), (3, 3), (4, 2)):
+            _, Q, action, _, sign_coords = _prop2_setup(l, n, rng)
+            for lattice in (l_center_lattice(Q), central_lattice(Q)):
+                out.append(CentralCharacter(Q, lattice, _equivariant_values(action, lattice, sign_coords, rng)))
+        for l, n in ((3, 2), (3, 3), (4, 3)):
+            Q = workloads.Rung.draw(l, n, rng).qmatrix
+            for make in (CentralCharacter.for_l_center, CentralCharacter.for_full_center):
+                out.append(make(Q, [rng.choice((2, -3, Fraction(5, 7), Q.field.gen())) for _ in range(n)]))
+    zeta3 = NumberField.cyclotomic(3)
+    Q = QMatrix.from_root_of_unity(zeta3, 3, zeta3.gen(), [[0, 1, 2], [-1, 0, 2], [-2, -2, 0]])
+    out.append(CentralCharacter(Q, Lattice.from_rows([[2, 1, 1], [0, 3, 0], [0, 0, 3]], 3), [2, zeta3.gen(), -1]))
+    return out
+
+
+def test_character_extension_satisfies_the_basis_pair_identity():
+    # construction checks only that the lattice is central; the value
+    # extension then satisfies c(h_i, h_j) chi(h_i + h_j) = chi(h_i) chi(h_j)
+    # on every basis pair, and reduce_monomial gives the ladder oracle's
+    # (r, c(r, lam)^-1 chi(lam)) for exp = r + lam
+    rng = random.Random(5)
+    for chi in _seeded_characters():
+        Q, basis = chi.qmatrix, chi.lattice.basis
+        for (i, hi), (j, hj) in product(enumerate(basis), repeat=2):
+            s = tuple(a + b for a, b in zip(hi, hj))
+            assert Q.cocycle(hi, hj) * chi.value(s) == chi.values[i] * chi.values[j], (basis, i, j)
+        for _ in range(10):
+            exp = tuple(rng.randint(-9, 9) for _ in range(Q.n))
+            r, lam = chi.lattice.reduce(exp)
+            assert chi.reduce_monomial(exp) == (r, Q.cocycle(r, lam).inverse() * chi.value(lam)), (basis, exp)
+
+
 def test_cyclic_decomposition_standard(swap3):
     char = l_center_char(swap3, [2, 3])
     rep, data = cyclic_decomposition(swap3, char)

@@ -63,23 +63,21 @@ def test_invalid_qmatrix_rejected(zeta3):
     rows = [
         ([[1, z], [z, 1]], {}, r"q\[0\]\[1\] \* q\[1\]\[0\] != 1"),
         ([[z, 1], [1, 1]], {}, r"q\[0\]\[0\] != 1"),
-        # z * z^2 == 1, so only S itself is at fault
-        ([[1, z], [z2, 1]], {"root_of_unity": (3, z, [[0, 1], [2, 0]])}, "exponent matrix must be antisymmetric"),
-        ([[1, z2], [z, 1]], {"root_of_unity": (3, z, S)}, r"q\[0\]\[1\] != epsilon\^S\[0\]\[1\]"),
-        ([[1, z], [z2, 1]], {"root_of_unity": (6, z, S)}, "epsilon does not have exact order 6"),
         ([[1, z], [z2, 1]], {"declared_orders": [[1, 6], [3, 1]]}, r"declared order of q\[0\]\[1\] is wrong"),
         # q[1][0] = q[0][1]^-1 has the order just verified for q[0][1]
         ([[1, z], [z2, 1]], {"declared_orders": [[1, 3], [6, 1]]}, r"declared order of q\[1\]\[0\] is wrong"),
-        # beside root-of-unity data, declared orders are verified as without it
-        (
-            [[1, z], [z2, 1]],
-            {"declared_orders": [[1, 3], [1, 1]], "root_of_unity": (3, z, S)},
-            r"declared order of q\[1\]\[0\] is wrong",
-        ),
     ]
     for entries, kwargs, message in rows:
         with pytest.raises(ValueError, match=message):
             QMatrix(zeta3, entries, **kwargs)
+    root_rows = [
+        # z * z^2 == 1, so only S itself is at fault
+        (3, [[0, 1], [2, 0]], "exponent matrix must be antisymmetric"),
+        (6, S, "epsilon does not have exact order 6"),
+    ]
+    for l, exponents, message in root_rows:
+        with pytest.raises(ValueError, match=message):
+            QMatrix.from_root_of_unity(zeta3, l, z, exponents)
     sqrt5 = NumberField.quadratic(5)
     u = 9 + 4 * sqrt5.gen()
     unit_rows = [
